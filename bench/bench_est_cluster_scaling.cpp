@@ -16,7 +16,7 @@
 // per-round frontier-edge histogram (p50/p90/max), the sequential/team
 // round split and the push/pull direction split, so the adaptive and
 // direction thresholds stay tunable from recorded data. First-thread
-// rows add push_seconds — the same workload with force_push pinned,
+// rows add push_seconds — the same workload with a push RoundPolicy,
 // timed against an equally warm workspace — so the direction
 // heuristic's 1-thread win is a recorded metric, not a claim.
 //
@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
     // loops below run against warm workspaces, so the organic-vs-push gap
     // measures the direction heuristic, not allocation noise.
     EstClusterWorkspace push_ws;
-    push_ws.force_push(true);
+    push_ws.set_round_policy({.direction = RoundPolicy::Direction::kPush});
     est_cluster(g, beta, seed, push_ws);
     std::sort(round_edges.begin(), round_edges.end());
     const std::size_t fe_p50 = percentile(round_edges, 0.50);

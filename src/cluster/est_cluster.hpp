@@ -34,6 +34,7 @@
 
 #include "graph/graph.hpp"
 #include "parallel/bucket_engine.hpp"
+#include "parallel/round_scheduler.hpp"
 
 namespace parsh {
 
@@ -91,9 +92,11 @@ Clustering est_cluster(const Graph& g, double beta, std::uint64_t seed,
                        EstClusterWorkspace& ws);
 
 /// Reusable scratch for est_cluster: one BucketEngine plus the per-vertex
-/// priority arrays, grown monotonically and never shrunk. Not thread-safe
-/// across concurrent est_cluster calls (one workspace per call chain).
-class EstClusterWorkspace {
+/// priority arrays, grown monotonically and never shrunk. The round
+/// policy and the per-round counters come from RoundScheduler. Not
+/// thread-safe across concurrent est_cluster calls (one workspace per
+/// call chain).
+class EstClusterWorkspace : public RoundScheduler {
  public:
   EstClusterWorkspace();
 
@@ -105,81 +108,6 @@ class EstClusterWorkspace {
   }
   /// Times the per-vertex arrays had to grow (once per high-water n).
   [[nodiscard]] std::uint64_t array_grow_events() const { return grow_events_; }
-  /// Rounds resolved by the packed-word fast path / the three-phase
-  /// fallback (cumulative across calls; diagnostics and tests).
-  [[nodiscard]] std::uint64_t packed_rounds() const { return packed_rounds_; }
-  [[nodiscard]] std::uint64_t fallback_rounds() const { return fallback_rounds_; }
-
-  /// Test hook: force the three-phase reduce even when a round's keys
-  /// would fit the packed word (for packed-vs-fallback equivalence tests).
-  void force_three_phase(bool on) { force_three_phase_ = on; }
-
-  /// Test hook mirroring force_three_phase: run the drain loop with the
-  /// historical fork-join-per-phase scheduling instead of one persistent
-  /// parallel region (team-vs-fork-join equivalence tests; bit-identical
-  /// by the Team contract, parallel/team.hpp).
-  void force_fork_join(bool on) { force_fork_join_ = on; }
-
-  /// Test hook mirroring force_fork_join: disable the adaptive sequential
-  /// round fast path, so every round runs through the parallel phases
-  /// even below the threshold (sequential-vs-parallel-round equivalence
-  /// tests; bit-identical by the determinism contract).
-  void force_parallel_rounds(bool on) { force_parallel_rounds_ = on; }
-
-  /// Rounds executed entirely on one worker via the adaptive sequential
-  /// fast path / through the parallel (team or fork-join) phases
-  /// (cumulative across calls; deterministic in the inputs and hooks,
-  /// independent of thread count).
-  [[nodiscard]] std::uint64_t sequential_rounds() const { return sequential_rounds_; }
-  [[nodiscard]] std::uint64_t team_rounds() const { return team_rounds_; }
-
-  /// Bench hook: while `sink` is non-null, every expansion records its
-  /// round's frontier edge total (see FrontierRelaxer::record_round_edges).
-  void record_round_edges(std::vector<std::size_t>* sink) {
-    relaxer_.record_round_edges(sink);
-  }
-
-  /// Test hook mirroring force_three_phase: schedule every expansion as
-  /// whole vertices, disabling the degree-aware stolen edge ranges and
-  /// the sequential fast path (for edge-grain-vs-vertex-grain equivalence
-  /// tests; both paths are bit-identical by the FrontierRelaxer contract).
-  void force_vertex_grain(bool on) { relaxer_.force_vertex_grain(on); }
-  /// Expansion rounds scheduled as stolen edge ranges / whole vertices
-  /// (cumulative across calls; diagnostics and tests).
-  [[nodiscard]] std::uint64_t edge_grain_rounds() const {
-    return relaxer_.edge_grain_rounds();
-  }
-  [[nodiscard]] std::uint64_t vertex_grain_rounds() const {
-    return relaxer_.vertex_grain_rounds();
-  }
-
-  /// Direction hooks mirroring force_vertex_grain: pin every
-  /// direction-capable expansion to push / to pull regardless of the
-  /// edge-fraction heuristic (push-vs-pull equivalence tests; bit-identical
-  /// by the FrontierRelaxer contract). Forcing one clears the other.
-  void force_push(bool on) { relaxer_.force_push(on); }
-  void force_pull(bool on) { relaxer_.force_pull(on); }
-  /// Expansions run in pull (bitmap) mode, and the edges their candidate
-  /// scans examined (cumulative across calls; diagnostics and benches).
-  [[nodiscard]] std::uint64_t pull_rounds() const { return relaxer_.pull_rounds(); }
-  [[nodiscard]] std::uint64_t pull_edges_scanned() const {
-    return relaxer_.pull_edges_scanned();
-  }
-
-  /// Expansion rounds whose adjacency was decoded from the delta-varint
-  /// compressed representation (zero on flat graphs; mirrors pull_rounds
-  /// as the observable for the compressed-vs-flat equivalence tests —
-  /// outputs are bit-identical, this counter proves the compressed decode
-  /// actually ran).
-  [[nodiscard]] std::uint64_t compressed_rounds() const {
-    return compressed_rounds_;
-  }
-
-  /// Heap-allocation events in the relaxer's prefix-sum scratch (warm
-  /// calls on frontiers no larger than already seen add none).
-  [[nodiscard]] std::uint64_t relax_alloc_events() const {
-    return relaxer_.alloc_events();
-  }
 
  private:
   friend Clustering est_cluster(const Graph&, double, std::uint64_t,
@@ -191,7 +119,6 @@ class EstClusterWorkspace {
   void ensure_(vid n);
 
   BucketEngine<EstProposal> engine_;
-  FrontierRelaxer relaxer_;  // degree-aware expansion scheduling
   // Per-vertex state (sized to the high-water n; only [0, n) touched).
   std::vector<double> start_;     // delta draws, then start times
   std::vector<double> key_;       // settled key per vertex
@@ -210,14 +137,6 @@ class EstClusterWorkspace {
   WorkerCounter tally_;
   std::size_t vertex_capacity_ = 0;
   std::uint64_t grow_events_ = 0;
-  std::uint64_t packed_rounds_ = 0;
-  std::uint64_t fallback_rounds_ = 0;
-  std::uint64_t sequential_rounds_ = 0;
-  std::uint64_t team_rounds_ = 0;
-  std::uint64_t compressed_rounds_ = 0;
-  bool force_three_phase_ = false;
-  bool force_fork_join_ = false;
-  bool force_parallel_rounds_ = false;
 };
 
 /// Sequential exact oracle (super-source Dijkstra over real-valued keys).

@@ -393,6 +393,49 @@ class BucketEngine {
   std::atomic<std::uint64_t> alloc_events_{0};
 };
 
+/// How the round-synchronous drivers schedule their rounds. The
+/// default-constructed policy is the production schedule; every other
+/// value exists so the equivalence tests can pin one mechanism against
+/// another. Output is bit-identical under every policy (the determinism
+/// contract); only the work counters and the schedule move.
+struct RoundPolicy {
+  /// How a round's (key, via) min-reduce resolves.
+  enum class Reduce : std::uint8_t {
+    kAuto,        ///< packed 64-bit word when the round's keys fit, else
+                  ///< the three-phase reduce
+    kThreePhase,  ///< always the three-phase reduce
+  };
+  /// How a round's work is spread over the team.
+  enum class Rounds : std::uint8_t {
+    kAdaptive,     ///< sequential fast path at or below
+                   ///< FrontierRelaxer::kSequentialRoundEdges items,
+                   ///< team stages above
+    kAllParallel,  ///< every round through the team stages
+    kVertexGrain,  ///< kAllParallel, with every expansion as whole-vertex
+                   ///< stages: no stolen edge ranges and no pull
+  };
+  /// Which way a direction-capable expansion runs.
+  enum class Direction : std::uint8_t {
+    kAuto,  ///< the edge-fraction hysteresis (FrontierRelaxer)
+    kPush,
+    kPull,
+  };
+
+  Reduce reduce = Reduce::kAuto;
+  Rounds rounds = Rounds::kAdaptive;
+  Direction direction = env_direction();
+
+  /// The default direction: kPull when PARSH_FORCE_PULL is set to
+  /// anything but "" or "0" (CI's pull-forced ctest lane, so the dense
+  /// path runs even on test graphs too small to trip the heuristic),
+  /// kAuto otherwise. A policy that names its direction overrides it.
+  static Direction env_direction() {
+    const char* e = std::getenv("PARSH_FORCE_PULL");
+    return e != nullptr && e[0] != '\0' && e[0] != '0' ? Direction::kPull
+                                                         : Direction::kAuto;
+  }
+};
+
 /// Adaptive degree-aware work distribution for one round's edge
 /// relaxations, with direction-optimized (push/pull) dense rounds.
 ///
@@ -406,7 +449,7 @@ class BucketEngine {
 /// runs them as one dynamically-claimed stage of the caller's Team — each
 /// worker takes the next unclaimed range as it goes idle, so a hub's
 /// adjacency is relaxed by many workers at once. Rounds whose edge total
-/// is at most the caller's seq_threshold instead run entirely on the
+/// is at most seq_threshold() instead run entirely on the
 /// driver thread through a dedicated sequential body (plain writes,
 /// direct calendar pushes — the adaptive sequential round fast path; see
 /// docs/ARCHITECTURE.md "Round scheduling").
@@ -433,14 +476,14 @@ class BucketEngine {
 /// the push multiset's (the suppressed proposals are strict losers of the
 /// very reduction that resolves them; see docs/ARCHITECTURE.md "Round
 /// scheduling"). The path choice depends only on (frontier, degrees,
-/// threshold, m, direction state), never on the schedule. All consumers
+/// policy, m, direction state), never on the schedule. All consumers
 /// resolve concurrent writes with the order-independent CRCW min-reduces
 /// in parallel/atomics.hpp (their sequential bodies computing the same
 /// argmin with plain writes), so output is bit-identical across
 /// sequential / vertex-grain / edge-grain / pull scheduling and across
 /// thread counts (pinned by tests/test_work_stealing.cpp,
-/// tests/test_direction_optimizing.cpp and the TeamRounds suite, via the
-/// force_vertex_grain / force_push / force_pull hooks).
+/// tests/test_direction_optimizing.cpp and the TeamRounds suite, via
+/// RoundPolicy).
 ///
 /// Reuse: the prefix-sum scratch and the frontier bitmap are grown
 /// monotonically and never shrunk (warm calls allocate nothing);
@@ -449,17 +492,6 @@ class BucketEngine {
 /// chain, owned by the workspaces alongside their engines.
 class FrontierRelaxer {
  public:
-  FrontierRelaxer() {
-    // Env seam for CI's pull-forced ctest lane (like OMP_NUM_THREADS):
-    // defaults every direction decision to pull so the dense path runs
-    // even on test graphs too small to trip the threshold organically.
-    // Explicit force_push()/force_pull() calls override it.
-    if (const char* e = std::getenv("PARSH_FORCE_PULL");
-        e != nullptr && e[0] != '\0' && e[0] != '0') {
-      force_pull_ = true;
-    }
-  }
-
   /// Target edges per stolen range. Small enough that a 10^5-degree hub
   /// splits across every worker, large enough that the per-range queue
   /// traffic (one dynamic-schedule dequeue) stays amortized.
@@ -503,23 +535,17 @@ class FrontierRelaxer {
     bool pull = false;
   };
 
-  /// Test hook mirroring the workspaces' force_three_phase: always take
-  /// the (parallel) whole-vertex path — no stolen edge ranges and no
-  /// sequential fast path. Takes precedence over the direction hooks.
-  void force_vertex_grain(bool on) { force_vertex_grain_ = on; }
+  /// The scheduling policy for every later relax(): its `rounds` and
+  /// `direction` fields (the reduce is the consumers' business).
+  void set_policy(const RoundPolicy& policy) { policy_ = policy; }
+  [[nodiscard]] const RoundPolicy& policy() const { return policy_; }
 
-  /// Direction hooks mirroring force_vertex_grain: pin every
-  /// direction-capable round to push / to pull regardless of the
-  /// edge-fraction heuristic (push-vs-pull bit-equality tests, and the
-  /// PARSH_FORCE_PULL CI lane). Forcing one direction clears the other;
-  /// an explicit force_push(true) beats the env default.
-  void force_push(bool on) {
-    force_push_ = on;
-    if (on) force_pull_ = false;
-  }
-  void force_pull(bool on) {
-    force_pull_ = on;
-    if (on) force_push_ = false;
+  /// Rounds of at most this many items run on the sequential fast path:
+  /// kSequentialRoundEdges under the adaptive policy, 0 (never) otherwise.
+  /// The consumers apply the same cut to their own per-round reduces.
+  [[nodiscard]] std::size_t seq_threshold() const {
+    return policy_.rounds == RoundPolicy::Rounds::kAdaptive ? kSequentialRoundEdges
+                                                            : 0;
   }
 
   /// Reset the direction hysteresis for a fresh run (drivers call this
@@ -574,16 +600,16 @@ class FrontierRelaxer {
   /// and cover each edge exactly once.
   ///
   /// The round is scheduled adaptively, all choices depending only on
-  /// (frontier, degrees, seq_threshold) — never on the schedule — so the
-  /// plan and the counters are deterministic:
-  ///  * edge total <= seq_threshold: `seq_body` runs for every frontier
+  /// (frontier, degrees, policy) — never on the schedule — so the plan and
+  /// the counters are deterministic:
+  ///  * edge total <= seq_threshold(): `seq_body` runs for every frontier
   ///    vertex on the calling thread. It may use plain (non-atomic)
   ///    writes and direct engine pushes — no other thread touches shared
-  ///    state during the round. Pass seq_threshold = 0 to disable (the
-  ///    workspaces' force_parallel_rounds hook).
+  ///    state during the round.
   ///  * otherwise `par_body` runs inside `team` stages (one stolen-range
-  ///    stage above kEdgeGrain, a whole-vertex stage below) and must only
-  ///    write through atomics / per-worker state.
+  ///    stage above kEdgeGrain, a whole-vertex stage below or under
+  ///    RoundPolicy::Rounds::kVertexGrain) and must only write through
+  ///    atomics / per-worker state.
   /// Both bodies must perform the same per-edge effect; every consumer
   /// funnels concurrent effects through order-independent CRCW reduces,
   /// so which body ran is unobservable in the output (the determinism
@@ -591,12 +617,12 @@ class FrontierRelaxer {
   ///
   /// Call from the driver thread, between rounds.
   template <typename TeamLike, typename Deg, typename SeqBody, typename ParBody>
-  RoundPlan relax(TeamLike& team, std::size_t frontier, std::size_t seq_threshold,
-                  Deg&& degree_of, SeqBody&& seq_body, ParBody&& par_body) {
+  RoundPlan relax(TeamLike& team, std::size_t frontier, Deg&& degree_of,
+                  SeqBody&& seq_body, ParBody&& par_body) {
     if (frontier == 0) return {0, false};
-    if (force_vertex_grain_) {
-      // Test-only path: plain degree pass for the total (the scan does
-      // not run here), then the parallel whole-vertex schedule.
+    if (policy_.rounds == RoundPolicy::Rounds::kVertexGrain) {
+      // Plain degree pass for the total (the scan does not run here),
+      // then the parallel whole-vertex schedule.
       std::size_t total = 0;
       for (std::size_t i = 0; i < frontier; ++i) {
         total += static_cast<std::size_t>(degree_of(i));
@@ -610,7 +636,7 @@ class FrontierRelaxer {
     }
     const std::size_t total = scan_degrees_(team, frontier, degree_of);
     record_(total);
-    return push_round_(team, frontier, total, seq_threshold, seq_body, par_body);
+    return push_round_(team, frontier, total, seq_body, par_body);
   }
 
   /// Direction-aware relax(): the same contract as above, plus the pull
@@ -625,18 +651,16 @@ class FrontierRelaxer {
   ///
   /// Direction is decided from the (deterministic) edge total before the
   /// sequential fast path, so a dense round never falls into the
-  /// sequential push body just because a caller passed a big threshold.
+  /// sequential push body.
   template <typename TeamLike, typename Deg, typename SeqBody, typename ParBody,
             typename PullBody>
   RoundPlan relax(TeamLike& team, const std::vector<vid>& frontier,
-                  std::size_t num_vertices, std::uint64_t num_arcs,
-                  std::size_t seq_threshold, Deg&& degree_of, SeqBody&& seq_body,
-                  ParBody&& par_body, PullBody&& pull_body) {
+                  std::size_t num_vertices, std::uint64_t num_arcs, Deg&& degree_of,
+                  SeqBody&& seq_body, ParBody&& par_body, PullBody&& pull_body) {
     if (frontier.empty()) return {0, false, false};
-    if (force_vertex_grain_) {
-      // The vertex-grain test seam pins the push scheduler outright.
-      return relax(team, frontier.size(), seq_threshold, degree_of, seq_body,
-                   par_body);
+    if (policy_.rounds == RoundPolicy::Rounds::kVertexGrain) {
+      // The vertex-grain policy pins the push scheduler outright.
+      return relax(team, frontier.size(), degree_of, seq_body, par_body);
     }
     const std::size_t total = scan_degrees_(team, frontier.size(), degree_of);
     record_(total);
@@ -645,8 +669,7 @@ class FrontierRelaxer {
       run_pull_(team, frontier, num_vertices, pull_body);
       return {total, false, true};
     }
-    return push_round_(team, frontier.size(), total, seq_threshold, seq_body,
-                       par_body);
+    return push_round_(team, frontier.size(), total, seq_body, par_body);
   }
 
  private:
@@ -654,10 +677,10 @@ class FrontierRelaxer {
   /// already holds the frontier's degree scan and `total` its sum.
   template <typename TeamLike, typename SeqBody, typename ParBody>
   RoundPlan push_round_(TeamLike& team, std::size_t frontier, std::size_t total,
-                        std::size_t seq_threshold, SeqBody& seq_body,
-                        ParBody& par_body) {
-    // seq_threshold == 0 disables the fast path outright (the
-    // force_parallel_rounds hook) — even for empty rounds.
+                        SeqBody& seq_body, ParBody& par_body) {
+    // A zero threshold (every non-adaptive policy) disables the fast path
+    // outright — even for empty rounds.
+    const std::size_t seq_threshold = this->seq_threshold();
     if (seq_threshold != 0 && total <= seq_threshold) {
       // The adaptive sequential fast path: one worker, no staging, no
       // atomics needed by the body.
@@ -741,12 +764,12 @@ class FrontierRelaxer {
     return running;
   }
 
-  /// Hysteresis state machine for the push/pull decision, then the force
-  /// overrides. The state advances on EVERY direction-capable round (the
-  /// forces only mask the outcome), so lifting a force mid-run leaves the
-  /// same state an unforced run would have — and the inputs (round edge
-  /// totals, m) are schedule-independent, so the decision is bit-stable
-  /// across thread counts.
+  /// Hysteresis state machine for the push/pull decision, then the
+  /// policy's override. The state advances on EVERY direction-capable round
+  /// (a forced direction only masks the outcome), so switching the policy
+  /// back to kAuto mid-run leaves the same state an unforced run would
+  /// have — and the inputs (round edge totals, m) are schedule-independent,
+  /// so the decision is bit-stable across thread counts.
   bool decide_direction_(std::size_t total, std::size_t num_vertices,
                          std::uint64_t num_arcs) {
     // The n/kPullFloorDivisor term gates both conditions identically: it
@@ -765,8 +788,11 @@ class FrontierRelaxer {
     } else {
       pull_mode_ = total >= exit;
     }
-    if (force_push_) return false;
-    if (force_pull_) return true;
+    switch (policy_.direction) {
+      case RoundPolicy::Direction::kPush: return false;
+      case RoundPolicy::Direction::kPull: return true;
+      case RoundPolicy::Direction::kAuto: break;
+    }
     return pull_mode_;
   }
 
@@ -774,7 +800,7 @@ class FrontierRelaxer {
   /// all vertices, clear the bitmap (touching only the set words, so the
   /// clear costs O(frontier), not O(n)). All three loops are team stages —
   /// never nested parallel_for — so the round works identically inside a
-  /// persistent team and under the fork-join shim.
+  /// persistent team and inline.
   template <typename TeamLike, typename PullBody>
   void run_pull_(TeamLike& team, const std::vector<vid>& frontier,
                  std::size_t num_vertices, PullBody& pull_body) {
@@ -823,10 +849,8 @@ class FrontierRelaxer {
   std::uint64_t pull_enter_div_ = kPullEnterDivisor;
   std::uint64_t pull_exit_div_ = kPullExitDivisor;
   std::uint64_t alloc_events_ = 0;
+  RoundPolicy policy_;
   bool pull_mode_ = false;
-  bool force_vertex_grain_ = false;
-  bool force_push_ = false;
-  bool force_pull_ = false;
 };
 
 }  // namespace parsh

@@ -11,7 +11,7 @@
 //
 // Team replaces that with ONE parallel region for the whole drain loop:
 //
-//   Team::drive(persistent, [&](Team& team) {
+//   Team::drive([&](Team& team) {
 //     while (...) {            // sequential control flow, thread 0 only
 //       team.loop(0, n, grain, body);   // one barrier-separated stage
 //       ...                    // pop / scan / sort between stages
@@ -21,10 +21,10 @@
 // Thread 0 runs the driver's sequential control flow; the other region
 // threads park in a serve loop and execute stages the driver publishes.
 // A stage is a dynamically-chunked for-loop (workers claim `grain`-sized
-// chunks from a shared cursor — the same work-stealing the fork-join path
-// got from `schedule(dynamic, chunk)`), followed by a completion barrier:
+// chunks from a shared cursor — the same work-stealing a
+// `schedule(dynamic, chunk)` loop gets), followed by a completion barrier:
 // loop() returns only after every chunk ran, so stages are exactly the
-// barrier-separated phases of the fork-join formulation, minus the
+// barrier-separated phases of a fork-join-per-phase formulation, minus the
 // per-phase thread fork/join.
 //
 // Synchronization is three std::atomics (stage sequence, chunk cursor,
@@ -34,17 +34,15 @@
 // briefly and then futex-park (std::atomic::wait), so an oversubscribed
 // machine degrades to roughly sequential speed instead of thrashing.
 //
-// Modes, all producing bit-identical consumer output (the consumers only
+// Modes, both producing bit-identical consumer output (the consumers only
 // run order-independent CRCW reduces / first-writer claims inside stages):
-//  * persistent = true, >1 worker available, not already inside a parallel
-//    region: the real thing described above.
-//  * persistent = false (the workspaces' force_fork_join test hook): no
-//    region is opened; loop() falls back to parallel_for_grain, i.e. the
-//    historical fork-join-per-phase behavior.
-//  * one worker, OpenMP absent, or already nested inside a parallel region
-//    (a pool fan-out, the hopset recursion): driver runs inline and
-//    loop() degenerates to a plain sequential loop — the outer layer owns
-//    the parallelism.
+//  * kPersistent — OpenMP present, >1 worker available (or forced with
+//    force_width), not already inside a parallel region: the real thing
+//    described above.
+//  * kSequential — one worker, OpenMP absent, or already nested inside a
+//    parallel region (a pool fan-out, the hopset recursion): the driver
+//    runs inline and loop() degenerates to a plain sequential loop — the
+//    outer layer owns the parallelism.
 //
 // Nested parallel_for calls from inside the region silently serialize
 // (OpenMP nesting is off); that is detected by nested_sequential_calls()
@@ -74,14 +72,12 @@ class Team {
     kSequential,  ///< plain loop on the calling thread (1 worker, nested
                   ///< inside an outer parallel region, or more workers
                   ///< configured than processors exist)
-    kForkJoin,    ///< parallel_for_grain per stage — the historical
-                  ///< per-phase fork-join (the force_fork_join hook)
     kPersistent,  ///< stages served by the parked worker team
   };
 
-  /// Run `driver(team)` with a persistent worker team when `persistent`
-  /// is set and the runtime can actually provide one (OpenMP, >1 thread,
-  /// not already inside a parallel region); otherwise inline.
+  /// Run `driver(team)` with a persistent worker team when the runtime
+  /// can provide one (OpenMP, >1 thread, not already inside a parallel
+  /// region); otherwise inline.
   ///
   /// The team is sized min(omp_get_max_threads(), omp_get_num_procs()):
   /// a barrier-synchronized compute team never benefits from more workers
@@ -90,15 +86,9 @@ class Team {
   /// The cap changes scheduling only — consumer output is thread-count-
   /// invariant by the determinism contract.
   template <typename Driver>
-  static void drive(bool persistent, Driver&& driver) {
+  static void drive(Driver&& driver) {
     Team team;
 #ifdef PARSH_HAVE_OPENMP
-    if (!persistent) {
-      // The force_fork_join hook: the historical per-phase fork-join.
-      team.mode_ = Mode::kForkJoin;
-      driver(team);
-      return;
-    }
     const int forced = forced_width_ref_();
     int cap = forced > 0 ? forced : detail::fork_width();
     // Never wider than num_workers(): every consumer sizes its per-worker
@@ -128,12 +118,11 @@ class Team {
       return;
     }
 #endif
-    (void)persistent;
     driver(team);
   }
 
   /// True when a real worker team is parked behind this object (stages
-  /// will run across threads). False in every inline/fork-join mode.
+  /// will run across threads). False when the driver runs inline.
   [[nodiscard]] bool persistent() const { return mode_ == Mode::kPersistent; }
 
   /// Test hook: force the persistent team width (0 = automatic,
@@ -155,8 +144,7 @@ class Team {
   /// (their writes visible to the caller). Call from the driver thread
   /// only; `grain` is also the cutoff below which the stage runs inline
   /// on the driver (waking workers for a handful of items costs more than
-  /// the items). Outside a persistent team this is parallel_for_grain —
-  /// the historical fork-join phase.
+  /// the items). Outside a persistent team this is a plain loop.
   template <typename F>
   void loop(std::size_t begin, std::size_t end, std::size_t grain, F f) {
     if (end <= begin) return;
@@ -166,10 +154,6 @@ class Team {
       // configured thread count exceeds the machine): a plain loop, with
       // no fork the runtime would have to serialize anyway.
       for (std::size_t i = begin; i < end; ++i) f(i);
-      return;
-    }
-    if (mode_ == Mode::kForkJoin) {
-      parallel_for_grain(begin, end, grain, f);
       return;
     }
     if (end - begin <= grain) {

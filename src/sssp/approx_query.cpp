@@ -66,8 +66,7 @@ ApproxShortestPaths::QueryResult ApproxShortestPaths::query(
     const weight_t dist_limit =
         sc.d * ratio * (1.0 + params_.epsilon) / sc.w_hat + 1.0;
     const HopLimitedStats r =
-        hop_limited_sssp(sc.rounded, s, hop_budget_[i],
-                         /*stop_early=*/true, dist_limit, ws, opts.deadline);
+        hop_limited_sssp(sc.rounded, s, hop_budget_[i], dist_limit, ws, opts.deadline);
     out.rounds += r.rounds;
     out.relaxations += r.relaxations;
     // A deadline-cut sweep's distances are still valid upper bounds, so
@@ -161,8 +160,8 @@ ApproxShortestPaths::AllResult ApproxShortestPaths::query_all(vid s,
     const HopsetScale& sc = hopset_.scales[i];
     const weight_t dist_limit =
         sc.d * ratio * (1.0 + params_.epsilon) / sc.w_hat + 1.0;
-    const HopLimitedStats r = hop_limited_sssp(sc.rounded, s, hop_budget_[i],
-                                               /*stop_early=*/true, dist_limit, ws);
+    const HopLimitedStats r =
+        hop_limited_sssp(sc.rounded, s, hop_budget_[i], dist_limit, ws);
     out.rounds += r.rounds;
     out.relaxations += r.relaxations;
     // Fold this scale in sparsely: only the vertices the sweep reached

@@ -16,13 +16,12 @@ namespace parsh {
 namespace {
 
 /// Workspace state one BFS run threads through the level loop (references
-/// into the friend-accessible SsspWorkspace members, snapshot hooks, and
-/// the run's base stamp).
+/// into the friend-accessible SsspWorkspace members, its round scheduler,
+/// and the run's base stamp).
 struct BfsCtx {
   const Graph& g;
-  SsspWorkspace::RoundHooks hooks;
+  RoundScheduler& rounds;  // relaxer, policy and round counters
   BucketEngine<vid>& engine;
-  FrontierRelaxer& relaxer;
   std::vector<vid>& frontier;
   std::vector<std::vector<vid>>& newly_local;  // per-worker claim winners
   std::vector<vid>& newly;                     // concatenated winners
@@ -58,8 +57,9 @@ vid run_bfs(BfsCtx ctx, vid max_levels, NextStamp next_stamp, Finalize finalize)
   std::vector<std::atomic<std::uint64_t>>& stamp = ctx.stamp;
   std::vector<std::atomic<vid>>& best_via = ctx.best_via;
   const std::uint64_t run_base = ctx.run_base;
+  FrontierRelaxer& relaxer = ctx.rounds.relaxer();
   vid level = 0;
-  Team::drive(!ctx.hooks.force_fork_join, [&](Team& team) {
+  Team::drive([&](Team& team) {
     std::uint64_t key;
     while ((key = ctx.engine.pop_round(team, frontier)) != kNoBucket) {
       if (level >= max_levels) break;
@@ -119,9 +119,9 @@ vid run_bfs(BfsCtx ctx, vid max_levels, NextStamp next_stamp, Finalize finalize)
         if (stamp[v].load(std::memory_order_relaxed) >= run_base) return 0;
         return g.scan_arcs(
             v,
-            [&](vid ahead) { ctx.relaxer.prefetch_frontier_bit(ahead); },
+            [&](vid ahead) { relaxer.prefetch_frontier_bit(ahead); },
             [&](eid, vid u) {
-              if (!ctx.relaxer.in_frontier(u)) return false;
+              if (!relaxer.in_frontier(u)) return false;
               best_via[v].store(u, std::memory_order_relaxed);
               stamp[v].store(round_id, std::memory_order_relaxed);
               ctx.engine.push_from_worker(key + 1, v);
@@ -132,9 +132,8 @@ vid run_bfs(BfsCtx ctx, vid max_levels, NextStamp next_stamp, Finalize finalize)
             });
       };
       ctx.newly.clear();
-      const auto plan = ctx.relaxer.relax(
+      const auto plan = relaxer.relax(
           team, frontier, g.num_vertices(), g.num_arcs(),
-          ctx.hooks.seq_threshold,
           [&](std::size_t i) {
             return static_cast<std::size_t>(g.degree(frontier[i]));
           },
@@ -174,8 +173,8 @@ vid run_bfs(BfsCtx ctx, vid max_levels, NextStamp next_stamp, Finalize finalize)
         team.loop(0, ctx.newly.size(), std::size_t{512},
                   [&](std::size_t i) { finalize(ctx.newly[i], next_level); });
       }
-      ++(plan.sequential ? *ctx.hooks.sequential_rounds : *ctx.hooks.team_rounds);
-      if (!g.has_flat_adjacency()) ++*ctx.hooks.compressed_rounds;
+      ctx.rounds.count_round(plan.sequential);
+      if (!g.has_flat_adjacency()) ctx.rounds.count_compressed();
       wd::add_work(plan.edges);  // the relaxer's prefix scan summed degrees
     }
   });
@@ -201,9 +200,8 @@ BfsResult bfs(const Graph& g, vid source, vid max_levels, SsspWorkspace& ws) {
   ws.stamp_[source].store(run_base, std::memory_order_relaxed);
   engine.push(0, source);
   BfsCtx ctx{g,
-             ws.round_hooks_(),
+             ws,
              engine,
-             ws.relaxer_,
              ws.frontier_,
              ws.newly_local_,
              ws.newly_,
@@ -250,9 +248,8 @@ MultiBfsResult multi_bfs(const Graph& g, const std::vector<vid>& sources,
     engine.push(0, s);
   }
   BfsCtx ctx{g,
-             ws.round_hooks_(),
+             ws,
              engine,
-             ws.relaxer_,
              ws.frontier_,
              ws.newly_local_,
              ws.newly_,

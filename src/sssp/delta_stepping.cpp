@@ -65,7 +65,7 @@ DeltaSteppingResult delta_stepping(const Graph& g, vid source, weight_t delta,
 
   // The packed fast path needs every parent id representable in 24 bits
   // (kPackedNoVia is reserved for kNoVertex).
-  const bool via_packs = !ws.force_three_phase_ &&
+  const bool via_packs = !ws.three_phase() &&
                          static_cast<std::uint64_t>(n) <= kPackedNoVia;
 
   // A round below this many items (proposals for the reduce, frontier
@@ -73,9 +73,10 @@ DeltaSteppingResult delta_stepping(const Graph& g, vid source, weight_t delta,
   // atomics, direct calendar pushes, no barriers. The decision depends
   // only on the (deterministic) round contents, so the counters match at
   // every thread count; both paths compute the same (dist, parent)
-  // argmin, so the output is bit-identical.
-  const std::size_t seq_threshold =
-      ws.force_parallel_rounds_ ? 0 : FrontierRelaxer::kSequentialRoundEdges;
+  // argmin, so the output is bit-identical. The round policy sets the cut
+  // (zero: every round through the team stages).
+  FrontierRelaxer& relaxer = ws.relaxer();
+  const std::size_t seq_threshold = relaxer.seq_threshold();
   // Per-stage chunk for the proposal-indexed phases below.
   constexpr std::size_t kStageGrain = 512;
 
@@ -120,9 +121,8 @@ DeltaSteppingResult delta_stepping(const Graph& g, vid source, weight_t delta,
   engine.push(0, {source, kNoVertex, 0});
 
   // One persistent parallel region for the whole bucket loop; every
-  // phase below is a barrier-separated Team stage (force_fork_join pins
-  // the historical per-phase fork-join scheduling instead).
-  Team::drive(!ws.force_fork_join_, [&](Team& team) {
+  // phase below is a barrier-separated Team stage.
+  Team::drive([&](Team& team) {
     // Resolve the popped bucket's proposals (one synchronous round of the
     // CRCW priority write), settle the winners, and concatenate the
     // newly-improved vertices into `newly`. Two equivalent reduction
@@ -150,8 +150,7 @@ DeltaSteppingResult delta_stepping(const Graph& g, vid source, weight_t delta,
             }
           }
           if (live != 0) {
-            ++ws.packed_rounds_;
-            ++ws.sequential_rounds_;
+            ws.count_reduce(/*sequential=*/true, /*packed=*/true);
             const std::uint64_t round_id = ws.next_stamp_();
             for (const SsspProposal& p : props) {
               if (best_packed[p.v].load(std::memory_order_relaxed) ==
@@ -172,8 +171,7 @@ DeltaSteppingResult delta_stepping(const Graph& g, vid source, weight_t delta,
             }
           }
           if (live != 0) {
-            ++ws.fallback_rounds_;
-            ++ws.sequential_rounds_;
+            ws.count_reduce(/*sequential=*/true, /*packed=*/false);
             for (const SsspProposal& p : props) {
               if (p.dist == best_key[p.v].load(std::memory_order_relaxed) &&
                   p.via < best_via[p.v].load(std::memory_order_relaxed)) {
@@ -205,8 +203,7 @@ DeltaSteppingResult delta_stepping(const Graph& g, vid source, weight_t delta,
         });
         live = tally.drain();
         if (live != 0) {
-          ++ws.packed_rounds_;
-          ++ws.team_rounds_;
+          ws.count_reduce(/*sequential=*/false, /*packed=*/true);
           const std::uint64_t round_id = ws.next_stamp_();
           team.loop(0, props.size(), kStageGrain, [&](std::size_t i) {
             const SsspProposal& p = props[i];
@@ -228,8 +225,7 @@ DeltaSteppingResult delta_stepping(const Graph& g, vid source, weight_t delta,
         });
         live = tally.drain();
         if (live != 0) {
-          ++ws.fallback_rounds_;
-          ++ws.team_rounds_;
+          ws.count_reduce(/*sequential=*/false, /*packed=*/false);
           team.loop(0, props.size(), kStageGrain, [&](std::size_t i) {
             const SsspProposal& p = props[i];
             if (p.dist == best_key[p.v].load(std::memory_order_relaxed)) {
@@ -330,11 +326,11 @@ DeltaSteppingResult delta_stepping(const Graph& g, vid source, weight_t delta,
         vid bu = kNoVertex;
         g.for_arcs(
             v, 0, deg,
-            [&](vid ahead) { ws.relaxer_.prefetch_frontier_bit(ahead); },
+            [&](vid ahead) { relaxer.prefetch_frontier_bit(ahead); },
             [&](eid e, vid u) {
               const weight_t w = g.weight(e);
               if (!take(w)) return;
-              if (!ws.relaxer_.in_frontier(u)) return;
+              if (!relaxer.in_frontier(u)) return;
               const weight_t nd = dist_of(u) + w;
               if (nd < bd || (nd == bd && bu != kNoVertex && u < bu)) {
                 bd = nd;
@@ -347,15 +343,15 @@ DeltaSteppingResult delta_stepping(const Graph& g, vid source, weight_t delta,
         }
         return deg;
       };
-      ws.relaxer_.relax(
-          team, frontier, g.num_vertices(), g.num_arcs(), seq_threshold,
+      relaxer.relax(
+          team, frontier, g.num_vertices(), g.num_arcs(),
           [&](std::size_t i) { return static_cast<std::size_t>(g.degree(frontier[i])); },
           scan_with([&](std::uint64_t bb, SsspProposal p) { engine.push(bb, p); }),
           scan_with([&](std::uint64_t bb, SsspProposal p) {
             engine.push_from_worker(bb, p);
           }),
           pull_scan);
-      if (!g.has_flat_adjacency()) ++ws.compressed_rounds_;
+      if (!g.has_flat_adjacency()) ws.count_compressed();
       const std::uint64_t relaxed = tally.drain();
       r.relaxations += relaxed;
       wd::add_work(relaxed);

@@ -161,7 +161,7 @@ class DynamicApproxShortestPaths {
   [[nodiscard]] const Params& params() const { return params_; }
 
   /// The rebuild's warm workspaces, exposed for the determinism suite's
-  /// forced-seam matrix (push/pull, team/fork-join hooks live on these).
+  /// RoundPolicy matrix (set_round_policy lives on these).
   [[nodiscard]] EstClusterWorkspace& cluster_workspace() { return cluster_ws_; }
   [[nodiscard]] SsspWorkspacePool& build_pool() { return build_pool_; }
 

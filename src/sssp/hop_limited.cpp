@@ -23,7 +23,7 @@ struct BellmanFordRefs {
   std::vector<std::vector<vid>>& newly_local;    // per-worker improvers
   std::vector<std::vector<vid>>& touched_local;  // per-worker first touches
   std::vector<std::size_t>& offset;              // concat scan scratch
-  FrontierRelaxer& relaxer;
+  RoundScheduler& rounds;                        // relaxer and round counters
   std::atomic<std::uint64_t>& allocs;
 };
 
@@ -42,7 +42,6 @@ struct BellmanFordRefs {
 /// workspace can restore its dist-infinity invariant lazily.
 template <typename TeamLike>
 void relax_round(const Graph& g, BellmanFordRefs& r, TeamLike& team,
-                 const SsspWorkspace::RoundHooks& hooks,
                  std::uint64_t* relaxations, weight_t dist_limit) {
   auto dist_of = [&](vid v) { return r.dist[v].load(std::memory_order_relaxed); };
   // Snapshot the frontier's round-start distances: relaxations below may
@@ -57,8 +56,8 @@ void relax_round(const Graph& g, BellmanFordRefs& r, TeamLike& team,
     r.frontier_dist[i] = dist_of(r.frontier[i]);
   });
   r.improved.clear();
-  const auto plan = r.relaxer.relax(
-      team, r.frontier.size(), hooks.seq_threshold,
+  const auto plan = r.rounds.relaxer().relax(
+      team, r.frontier.size(),
       [&](std::size_t i) { return static_cast<std::size_t>(g.degree(r.frontier[i])); },
       // Sequential round: one worker, plain relaxed loads/stores, direct
       // appends. A vertex may be improved several times (several frontier
@@ -102,8 +101,8 @@ void relax_round(const Graph& g, BellmanFordRefs& r, TeamLike& team,
           }
         });
       });
-  ++(plan.sequential ? *hooks.sequential_rounds : *hooks.team_rounds);
-  if (!g.has_flat_adjacency()) ++*hooks.compressed_rounds;
+  r.rounds.count_round(plan.sequential);
+  if (!g.has_flat_adjacency()) r.rounds.count_compressed();
   *relaxations += plan.edges;
   wd::add_work(plan.edges);
   wd::add_round();
@@ -138,36 +137,31 @@ void relax_round(const Graph& g, BellmanFordRefs& r, TeamLike& team,
 }  // namespace
 
 HopLimitedStats hop_limited_sssp(const Graph& g, vid source, std::uint64_t h,
-                                 bool stop_early, weight_t dist_limit,
-                                 SsspWorkspace& ws, const Deadline& deadline) {
+                                 weight_t dist_limit, SsspWorkspace& ws,
+                                 const Deadline& deadline) {
   require_vertex(g, source, "hop_limited_sssp");
   ws.begin_run_(g.num_vertices());
   BellmanFordRefs r{ws.dist_,          ws.touched_,       ws.frontier_,
                     ws.improved_,      ws.frontier_dist_, ws.newly_local_,
-                    ws.touched_local_, ws.offset_,        ws.relaxer_,
+                    ws.touched_local_, ws.offset_,        ws,
                     ws.scratch_allocs_};
   r.dist[source].store(0, std::memory_order_relaxed);
   detail::push_counted(r.touched, source, r.allocs);
   r.frontier.clear();
   detail::push_counted(r.frontier, source, r.allocs);
-  // stop_early is kept for API symmetry: an empty frontier means nothing
-  // can ever improve again, so the loop exits there either way (a
-  // non-early run differs only in that callers budget h for it).
-  (void)stop_early;
   HopLimitedStats stats;
-  const SsspWorkspace::RoundHooks hooks = ws.round_hooks_();
   // The deadline is polled on the driver thread between rounds only — a
   // round is the unit of cancellation, so a partial run is always "the
   // first k rounds in full" and the settled distances are exact dist^k.
   const bool check_deadline = !deadline.never_expires();
-  Team::drive(!hooks.force_fork_join, [&](Team& team) {
+  Team::drive([&](Team& team) {
     for (std::uint64_t round = 0; round < h; ++round) {
       if (r.frontier.empty()) break;  // nothing more can ever improve
       if (check_deadline && deadline.expired()) {
         stats.deadline_hit = true;
         break;
       }
-      relax_round(g, r, team, hooks, &stats.relaxations, dist_limit);
+      relax_round(g, r, team, &stats.relaxations, dist_limit);
       ++stats.rounds;
     }
   });
@@ -182,10 +176,9 @@ HopLimitedStats hop_limited_sssp(const Graph& g, vid source, std::uint64_t h,
 }
 
 HopLimitedResult hop_limited_sssp(const Graph& g, vid source, std::uint64_t h,
-                                  bool stop_early, weight_t dist_limit) {
+                                  weight_t dist_limit) {
   SsspWorkspace ws;
-  const HopLimitedStats stats =
-      hop_limited_sssp(g, source, h, stop_early, dist_limit, ws);
+  const HopLimitedStats stats = hop_limited_sssp(g, source, h, dist_limit, ws);
   HopLimitedResult r;
   r.rounds = stats.rounds;
   r.relaxations = stats.relaxations;
@@ -201,7 +194,7 @@ std::uint64_t hops_to_approx(const Graph& g, vid s, vid t, weight_t true_dist,
   ws.begin_run_(g.num_vertices());
   BellmanFordRefs r{ws.dist_,          ws.touched_,       ws.frontier_,
                     ws.improved_,      ws.frontier_dist_, ws.newly_local_,
-                    ws.touched_local_, ws.offset_,        ws.relaxer_,
+                    ws.touched_local_, ws.offset_,        ws,
                     ws.scratch_allocs_};
   r.dist[s].store(0, std::memory_order_relaxed);
   detail::push_counted(r.touched, s, r.allocs);
@@ -211,11 +204,10 @@ std::uint64_t hops_to_approx(const Graph& g, vid s, vid t, weight_t true_dist,
   std::uint64_t relaxations = 0;
   std::uint64_t rounds = 0;
   std::uint64_t reached_at = h_cap;
-  const SsspWorkspace::RoundHooks hooks = ws.round_hooks_();
-  Team::drive(!hooks.force_fork_join, [&](Team& team) {
+  Team::drive([&](Team& team) {
     for (std::uint64_t h = 1; h <= h_cap; ++h) {
       if (r.frontier.empty()) return;  // converged without reaching goal
-      relax_round(g, r, team, hooks, &relaxations, kInfWeight);
+      relax_round(g, r, team, &relaxations, kInfWeight);
       ++rounds;
       if (ws.dist_of(t) <= goal) {
         reached_at = h;

@@ -38,13 +38,12 @@ struct HopLimitedStats {
   bool deadline_hit = false;
 };
 
-/// Exact dist^h from `source` with at most `h` hops. If `stop_early` the
-/// loop exits once no distance improves (making the result dist^n when the
-/// graph converges faster — useful as an exact oracle). Vertices farther
-/// than `dist_limit` are pruned: the Section 5 query engine passes each
-/// scale's distance cap so out-of-scale searches die cheaply.
+/// Exact dist^h from `source` with at most `h` hops. The loop exits early
+/// once a round improves nothing (the result is then dist^n — useful as an
+/// exact oracle). Vertices farther than `dist_limit` are pruned: the
+/// Section 5 query engine passes each scale's distance cap so out-of-scale
+/// searches die cheaply.
 HopLimitedResult hop_limited_sssp(const Graph& g, vid source, std::uint64_t h,
-                                  bool stop_early = true,
                                   weight_t dist_limit = kInfWeight);
 
 /// Workspace form — the hot path of ApproxShortestPaths: distances are
@@ -58,8 +57,7 @@ HopLimitedResult hop_limited_sssp(const Graph& g, vid source, std::uint64_t h,
 /// deadline_hit set and whatever distances the completed rounds settled.
 /// The default never-expiring deadline makes the check a flag test.
 HopLimitedStats hop_limited_sssp(const Graph& g, vid source, std::uint64_t h,
-                                 bool stop_early, weight_t dist_limit,
-                                 SsspWorkspace& ws,
+                                 weight_t dist_limit, SsspWorkspace& ws,
                                  const Deadline& deadline = Deadline::never());
 
 /// The number of hops needed for the s-t distance to drop to within

@@ -68,7 +68,7 @@ void SsspWorkspace::ensure_reduce_(vid n) {
 
 void SsspWorkspace::begin_run_(vid n) {
   ensure_vertices_(n);
-  relaxer_.begin_run();  // fresh direction hysteresis per run
+  relaxer().begin_run();  // fresh direction hysteresis per run
   // Restore the dist-infinity invariant for whatever the previous run
   // touched (ensure_vertices_ cleared the list if the arrays were
   // rebuilt, in which case they are already all-infinite).

@@ -23,9 +23,10 @@
 //    delta-stepping's per-round settle dedup): stamps are monotone
 //    across runs, so no run ever re-initializes them;
 //  * the (dist, parent) CRCW min-reduce scratch — three-phase atomics and
-//    the packed 64-bit word — shared with the packed/fallback round
-//    counters and the force_three_phase test seam, exactly as PR 2's
-//    clustering workspace.
+//    the packed 64-bit word — exactly as the clustering workspace;
+//  * the round policy, the FrontierRelaxer and the per-round counters,
+//    inherited from RoundScheduler (parallel/round_scheduler.hpp), which
+//    EstClusterWorkspace shares.
 //
 // Results of a run stay readable in place (dist_of / parent_of / touched)
 // until the next run on the same workspace begins. Not thread-safe across
@@ -44,6 +45,7 @@
 #include "graph/graph.hpp"
 #include "parallel/bucket_engine.hpp"
 #include "parallel/parallel_for.hpp"
+#include "parallel/round_scheduler.hpp"
 #include "util/deadline.hpp"
 
 namespace parsh {
@@ -80,21 +82,9 @@ inline void push_counted(std::vector<T>& buf, T value,
 
 }  // namespace detail
 
-class SsspWorkspace {
+class SsspWorkspace : public RoundScheduler {
  public:
   SsspWorkspace();
-
-  /// The per-round scheduling knobs a driver's drain loop needs, snapshot
-  /// from the workspace hooks (round_hooks_() below): whether to open a
-  /// persistent team, the adaptive sequential-round threshold (0 when
-  /// force_parallel_rounds is set), and where to count the decisions.
-  struct RoundHooks {
-    bool force_fork_join = false;
-    std::size_t seq_threshold = 0;
-    std::uint64_t* sequential_rounds = nullptr;
-    std::uint64_t* team_rounds = nullptr;
-    std::uint64_t* compressed_rounds = nullptr;
-  };
 
   /// Heap-allocation events inside the workspace so far: both engines'
   /// counters plus the relaxer's prefix-scratch growth plus per-vertex
@@ -103,75 +93,11 @@ class SsspWorkspace {
   /// guarantee the query-server tests pin.
   [[nodiscard]] std::uint64_t alloc_events() const {
     return frontier_engine_.alloc_events() + proposal_engine_.alloc_events() +
-           relaxer_.alloc_events() + grow_events_ +
+           relax_alloc_events() + grow_events_ +
            scratch_allocs_.load(std::memory_order_relaxed);
   }
   /// Times the per-vertex arrays had to grow (once per high-water n).
   [[nodiscard]] std::uint64_t array_grow_events() const { return grow_events_; }
-  /// (dist, parent) rounds resolved by the packed-word fast path / the
-  /// three-phase fallback (cumulative; diagnostics and tests).
-  [[nodiscard]] std::uint64_t packed_rounds() const { return packed_rounds_; }
-  [[nodiscard]] std::uint64_t fallback_rounds() const { return fallback_rounds_; }
-
-  /// Test hook: force the three-phase reduce even when a round's keys
-  /// would fit the packed word (packed-vs-fallback equivalence tests).
-  void force_three_phase(bool on) { force_three_phase_ = on; }
-
-  /// Test hook mirroring force_three_phase: run the drain loops with the
-  /// historical fork-join-per-phase scheduling instead of one persistent
-  /// parallel region (team-vs-fork-join equivalence tests; bit-identical
-  /// by the Team contract, parallel/team.hpp).
-  void force_fork_join(bool on) { force_fork_join_ = on; }
-
-  /// Test hook mirroring force_fork_join: disable the adaptive sequential
-  /// round fast path, so every round runs through the parallel phases
-  /// even below the threshold (sequential-vs-parallel-round equivalence
-  /// tests; bit-identical by the determinism contract).
-  void force_parallel_rounds(bool on) { force_parallel_rounds_ = on; }
-
-  /// Rounds executed entirely on one worker via the adaptive sequential
-  /// fast path / through the parallel (team or fork-join) phases
-  /// (cumulative; deterministic in the inputs and hooks, independent of
-  /// thread count). The Dial search is deliberately sequential per search
-  /// and counts toward neither.
-  [[nodiscard]] std::uint64_t sequential_rounds() const { return sequential_rounds_; }
-  [[nodiscard]] std::uint64_t team_rounds() const { return team_rounds_; }
-
-  /// Relax rounds whose adjacency was decoded from the delta-varint
-  /// compressed representation (zero on flat graphs). The observable for
-  /// the compressed-vs-flat equivalence tests, mirroring pull_rounds:
-  /// outputs are bit-identical, this counter proves the compressed decode
-  /// actually ran.
-  [[nodiscard]] std::uint64_t compressed_rounds() const {
-    return compressed_rounds_;
-  }
-
-  /// Test hook mirroring force_three_phase: schedule every relax round as
-  /// whole vertices, disabling the degree-aware stolen edge ranges and
-  /// the sequential fast path (for edge-grain-vs-vertex-grain equivalence
-  /// tests; bit-identical by the FrontierRelaxer contract).
-  void force_vertex_grain(bool on) { relaxer_.force_vertex_grain(on); }
-  /// Relax rounds scheduled as stolen edge ranges / whole vertices
-  /// (cumulative; diagnostics and tests).
-  [[nodiscard]] std::uint64_t edge_grain_rounds() const {
-    return relaxer_.edge_grain_rounds();
-  }
-  [[nodiscard]] std::uint64_t vertex_grain_rounds() const {
-    return relaxer_.vertex_grain_rounds();
-  }
-
-  /// Direction hooks mirroring force_vertex_grain: pin every
-  /// direction-capable relax round to push / to pull regardless of the
-  /// edge-fraction heuristic (push-vs-pull equivalence tests; bit-identical
-  /// by the FrontierRelaxer contract). Forcing one clears the other.
-  void force_push(bool on) { relaxer_.force_push(on); }
-  void force_pull(bool on) { relaxer_.force_pull(on); }
-  /// Relax rounds run in pull (bitmap) mode, and the edges their candidate
-  /// scans examined (cumulative; diagnostics, tests and benches).
-  [[nodiscard]] std::uint64_t pull_rounds() const { return relaxer_.pull_rounds(); }
-  [[nodiscard]] std::uint64_t pull_edges_scanned() const {
-    return relaxer_.pull_edges_scanned();
-  }
 
   /// Distance settled by the last run (kInfWeight if the run did not
   /// reach v). Valid until the next run on this workspace begins.
@@ -203,7 +129,7 @@ class SsspWorkspace {
                                                    const std::vector<vid>&,
                                                    weight_t, SsspWorkspace&);
   friend HopLimitedStats hop_limited_sssp(const Graph&, vid, std::uint64_t,
-                                          bool, weight_t, SsspWorkspace&,
+                                          weight_t, SsspWorkspace&,
                                           const Deadline&);
   friend std::uint64_t hops_to_approx(const Graph&, vid, vid, weight_t, double,
                                       std::uint64_t);
@@ -224,16 +150,8 @@ class SsspWorkspace {
   /// counter, so monotonicity is global).
   std::uint64_t next_stamp_() { return ++stamp_counter_; }
 
-  /// Snapshot the round-scheduling hooks for a driver's drain loop.
-  RoundHooks round_hooks_() {
-    return {force_fork_join_,
-            force_parallel_rounds_ ? 0 : FrontierRelaxer::kSequentialRoundEdges,
-            &sequential_rounds_, &team_rounds_, &compressed_rounds_};
-  }
-
   BucketEngine<vid> frontier_engine_;            // BFS levels, Dial buckets
   BucketEngine<SsspProposal> proposal_engine_;   // delta-stepping relaxations
-  FrontierRelaxer relaxer_;                      // degree-aware relax scheduling
   // Per-vertex state (sized to the high-water n; only [0, n) touched).
   std::vector<std::atomic<weight_t>> dist_;
   std::vector<vid> parent_;
@@ -258,14 +176,6 @@ class SsspWorkspace {
   std::uint64_t stamp_counter_ = 0;
   std::uint64_t grow_events_ = 0;
   std::atomic<std::uint64_t> scratch_allocs_{0};
-  std::uint64_t packed_rounds_ = 0;
-  std::uint64_t fallback_rounds_ = 0;
-  std::uint64_t sequential_rounds_ = 0;
-  std::uint64_t team_rounds_ = 0;
-  std::uint64_t compressed_rounds_ = 0;
-  bool force_three_phase_ = false;
-  bool force_fork_join_ = false;
-  bool force_parallel_rounds_ = false;
 };
 
 /// One SsspWorkspace per OpenMP worker, for parallel fan-outs whose

@@ -6,18 +6,19 @@
 // push round would have emitted for it — the suppressed proposals are
 // strict losers of the very min-reduce that resolves them — so every
 // driver's OUTPUT (distances, parents, clustering) is bit-identical across
-// forced push, forced pull, the organic hysteresis, team/fork-join
-// scheduling, and 1 vs 4 threads. Work-proxy counters (delta phases and
+// forced push, forced pull, the organic hysteresis, and one thread vs a
+// real 4-wide team. Work-proxy counters (delta phases and
 // relaxations, est work) are direction-DEPENDENT by design (push pops
 // stale-only buckets pull never creates) and are deliberately not compared
 // across directions; rounds/levels are direction-independent and are.
 //
 // Suites here run under the TSan CI job (no *Warm* name) and the
-// PARSH_FORCE_PULL ctest lane; explicit force_push(true)/force_pull(true)
-// override the env seam, so both directions are exercised regardless.
+// PARSH_FORCE_PULL ctest lane; a RoundPolicy that names its direction
+// overrides the env default, so both directions are exercised regardless.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <utility>
 #include <vector>
 
@@ -29,25 +30,10 @@
 #include "sssp/bfs.hpp"
 #include "sssp/delta_stepping.hpp"
 #include "sssp/sssp_workspace.hpp"
+#include "thread_scope.hpp"
 
 namespace parsh {
 namespace {
-
-/// Run `f` with the OpenMP worker count forced to `threads` (no-op in the
-/// sequential build, where both runs are trivially identical).
-template <typename F>
-auto at_threads(int threads, F f) {
-#ifdef PARSH_HAVE_OPENMP
-  const int before = omp_get_max_threads();
-  omp_set_num_threads(threads);
-  auto result = f();
-  omp_set_num_threads(before);
-  return result;
-#else
-  (void)threads;
-  return f();
-#endif
-}
 
 void expect_same_clustering(const Clustering& a, const Clustering& b) {
   EXPECT_EQ(a.cluster_of, b.cluster_of);
@@ -73,53 +59,49 @@ std::vector<std::pair<const char*, Graph>> direction_graphs(std::uint64_t seed) 
 
 class DirectionOptimizing : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(DirectionOptimizing, EstClusterPushVsPullAcrossThreadsAndTeams) {
+const RoundPolicy kPush{.direction = RoundPolicy::Direction::kPush};
+const RoundPolicy kPull{.direction = RoundPolicy::Direction::kPull};
+
+TEST_P(DirectionOptimizing, EstClusterPushVsPullAcrossWidths) {
   for (const auto& [name, g] : direction_graphs(GetParam())) {
     SCOPED_TRACE(name);
     EstClusterWorkspace push_ws;
-    push_ws.force_push(true);
+    push_ws.set_round_policy(kPush);
     const Clustering pushed =
         at_threads(1, [&] { return est_cluster(g, 0.5, GetParam(), push_ws); });
     EXPECT_EQ(push_ws.pull_rounds(), 0u);
     EXPECT_TRUE(validate_clustering(g, pushed)) << name;
-    for (int threads : {1, 4}) {
-      for (const bool fork_join : {false, true}) {
-        EstClusterWorkspace ws;
-        ws.force_pull(true);
-        ws.force_fork_join(fork_join);
-        const Clustering pulled = at_threads(
-            threads, [&] { return est_cluster(g, 0.5, GetParam(), ws); });
-        EXPECT_GT(ws.pull_rounds(), 0u) << name << " @" << threads;
-        EXPECT_GT(ws.pull_edges_scanned(), 0u) << name << " @" << threads;
-        expect_same_clustering(pulled, pushed);
-      }
+    for (int width : {1, 4}) {
+      EstClusterWorkspace ws;
+      ws.set_round_policy(kPull);
+      const Clustering pulled =
+          at_width(width, [&] { return est_cluster(g, 0.5, GetParam(), ws); });
+      EXPECT_GT(ws.pull_rounds(), 0u) << name << " @" << width;
+      EXPECT_GT(ws.pull_edges_scanned(), 0u) << name << " @" << width;
+      expect_same_clustering(pulled, pushed);
     }
   }
 }
 
-TEST_P(DirectionOptimizing, BfsPushVsPullAcrossThreadsAndTeams) {
+TEST_P(DirectionOptimizing, BfsPushVsPullAcrossWidths) {
   // Parents included: the per-level min-via argmin must survive the
   // direction flip bit-for-bit (the pull scan's early exit on the sorted
   // adjacency IS that argmin).
   for (const auto& [name, g] : direction_graphs(GetParam())) {
     SCOPED_TRACE(name);
     SsspWorkspace push_ws;
-    push_ws.force_push(true);
+    push_ws.set_round_policy(kPush);
     const BfsResult pushed =
         at_threads(1, [&] { return bfs(g, 0, kNoVertex, push_ws); });
     EXPECT_EQ(push_ws.pull_rounds(), 0u);
-    for (int threads : {1, 4}) {
-      for (const bool fork_join : {false, true}) {
-        SsspWorkspace ws;
-        ws.force_pull(true);
-        ws.force_fork_join(fork_join);
-        const BfsResult pulled =
-            at_threads(threads, [&] { return bfs(g, 0, kNoVertex, ws); });
-        EXPECT_GT(ws.pull_rounds(), 0u) << name << " @" << threads;
-        EXPECT_EQ(pulled.dist, pushed.dist);
-        EXPECT_EQ(pulled.parent, pushed.parent);
-        EXPECT_EQ(pulled.rounds, pushed.rounds);
-      }
+    for (int width : {1, 4}) {
+      SsspWorkspace ws;
+      ws.set_round_policy(kPull);
+      const BfsResult pulled = at_width(width, [&] { return bfs(g, 0, kNoVertex, ws); });
+      EXPECT_GT(ws.pull_rounds(), 0u) << name << " @" << width;
+      EXPECT_EQ(pulled.dist, pushed.dist);
+      EXPECT_EQ(pulled.parent, pushed.parent);
+      EXPECT_EQ(pulled.rounds, pushed.rounds);
     }
   }
 }
@@ -129,15 +111,15 @@ TEST_P(DirectionOptimizing, MultiBfsPushVsPullOwners) {
     SCOPED_TRACE(name);
     const std::vector<vid> sources = {0, 1, g.num_vertices() / 2};
     SsspWorkspace push_ws;
-    push_ws.force_push(true);
+    push_ws.set_round_policy(kPush);
     const MultiBfsResult pushed =
         at_threads(1, [&] { return multi_bfs(g, sources, kNoVertex, push_ws); });
-    for (int threads : {1, 4}) {
+    for (int width : {1, 4}) {
       SsspWorkspace ws;
-      ws.force_pull(true);
+      ws.set_round_policy(kPull);
       const MultiBfsResult pulled =
-          at_threads(threads, [&] { return multi_bfs(g, sources, kNoVertex, ws); });
-      EXPECT_GT(ws.pull_rounds(), 0u) << name << " @" << threads;
+          at_width(width, [&] { return multi_bfs(g, sources, kNoVertex, ws); });
+      EXPECT_GT(ws.pull_rounds(), 0u) << name << " @" << width;
       EXPECT_EQ(pulled.dist, pushed.dist);
       EXPECT_EQ(pulled.owner, pushed.owner);
       EXPECT_EQ(pulled.rounds, pushed.rounds);
@@ -145,30 +127,27 @@ TEST_P(DirectionOptimizing, MultiBfsPushVsPullOwners) {
   }
 }
 
-TEST_P(DirectionOptimizing, DeltaSteppingPushVsPullAcrossThreadsAndTeams) {
+TEST_P(DirectionOptimizing, DeltaSteppingPushVsPullAcrossWidths) {
   for (const auto& [name, base] : direction_graphs(GetParam())) {
     SCOPED_TRACE(name);
     const Graph g = with_uniform_weights(base, 1, 9, GetParam() + 17);
     for (const weight_t delta : {0.0, 4.0}) {
       SsspWorkspace push_ws;
-      push_ws.force_push(true);
+      push_ws.set_round_policy(kPush);
       const auto pushed =
           at_threads(1, [&] { return delta_stepping(g, 0, delta, push_ws); });
       EXPECT_EQ(push_ws.pull_rounds(), 0u);
-      for (int threads : {1, 4}) {
-        for (const bool fork_join : {false, true}) {
-          SsspWorkspace ws;
-          ws.force_pull(true);
-          ws.force_fork_join(fork_join);
-          const auto pulled =
-              at_threads(threads, [&] { return delta_stepping(g, 0, delta, ws); });
-          EXPECT_GT(ws.pull_rounds(), 0u) << name << " @" << threads;
-          // Distances and the parent tree are the contract; phases and
-          // relaxations are direction-dependent work proxies (push pops
-          // stale-only buckets pull never creates) and are not compared.
-          EXPECT_EQ(pulled.dist, pushed.dist);
-          EXPECT_EQ(pulled.parent, pushed.parent);
-        }
+      for (int width : {1, 4}) {
+        SsspWorkspace ws;
+        ws.set_round_policy(kPull);
+        const auto pulled =
+            at_width(width, [&] { return delta_stepping(g, 0, delta, ws); });
+        EXPECT_GT(ws.pull_rounds(), 0u) << name << " @" << width;
+        // Distances and the parent tree are the contract; phases and
+        // relaxations are direction-dependent work proxies (push pops
+        // stale-only buckets pull never creates) and are not compared.
+        EXPECT_EQ(pulled.dist, pushed.dist);
+        EXPECT_EQ(pulled.parent, pushed.parent);
       }
     }
   }
@@ -182,24 +161,24 @@ TEST_P(DirectionOptimizing, OrganicHysteresisFlipsAndMatchesForcedRuns) {
   // (the heuristic only reads round totals and m).
   const Graph g = ensure_connected(make_random_graph(6000, 36000, GetParam()));
   SsspWorkspace push_ws;
-  push_ws.force_push(true);
+  push_ws.set_round_policy(kPush);
   const BfsResult pushed =
       at_threads(1, [&] { return bfs(g, 0, kNoVertex, push_ws); });
-  std::vector<std::uint64_t> pull_rounds_by_thread;
-  for (int threads : {1, 4}) {
+  std::vector<std::uint64_t> pull_rounds_by_width;
+  for (int width : {1, 4}) {
     SsspWorkspace ws;
-    ws.force_pull(false);  // clears a PARSH_FORCE_PULL env default too
-    const BfsResult organic =
-        at_threads(threads, [&] { return bfs(g, 0, kNoVertex, ws); });
-    EXPECT_GT(ws.pull_rounds(), 0u) << "@" << threads;
+    // Naming the direction overrides a PARSH_FORCE_PULL env default.
+    ws.set_round_policy({.direction = RoundPolicy::Direction::kAuto});
+    const BfsResult organic = at_width(width, [&] { return bfs(g, 0, kNoVertex, ws); });
+    EXPECT_GT(ws.pull_rounds(), 0u) << "@" << width;
     EXPECT_LT(ws.pull_rounds(), static_cast<std::uint64_t>(pushed.rounds))
-        << "@" << threads;  // sparse head/tail stayed push
+        << "@" << width;  // sparse head/tail stayed push
     EXPECT_EQ(organic.dist, pushed.dist);
     EXPECT_EQ(organic.parent, pushed.parent);
     EXPECT_EQ(organic.rounds, pushed.rounds);
-    pull_rounds_by_thread.push_back(ws.pull_rounds());
+    pull_rounds_by_width.push_back(ws.pull_rounds());
   }
-  EXPECT_EQ(pull_rounds_by_thread[0], pull_rounds_by_thread[1]);
+  EXPECT_EQ(pull_rounds_by_width[0], pull_rounds_by_width[1]);
 }
 
 /// Minimal TeamLike for driving the relaxer directly (sequential loop).
@@ -218,7 +197,10 @@ TEST_P(DirectionOptimizing, HysteresisEntersHighExitsLow) {
   // round whose total clears the hysteresis band but not the floor still
   // runs push (the Theta(n) candidate sweep could not pay for itself).
   FrontierRelaxer relaxer;
-  relaxer.force_pull(false);  // clear a PARSH_FORCE_PULL env default
+  // Organic direction (overriding a PARSH_FORCE_PULL env default), and no
+  // sequential fast path.
+  relaxer.set_policy({.rounds = RoundPolicy::Rounds::kAllParallel,
+                      .direction = RoundPolicy::Direction::kAuto});
   relaxer.set_pull_divisors(10, 100);  // m=1000: enter at 100, exit below 10
   relaxer.begin_run();
   InlineTeam team;
@@ -229,7 +211,7 @@ TEST_P(DirectionOptimizing, HysteresisEntersHighExitsLow) {
   auto run_round = [&](std::uint64_t per_vertex_degree) {
     degree = per_vertex_degree;
     return relaxer.relax(
-        team, frontier, n, m, /*seq_threshold=*/0,
+        team, frontier, n, m,
         [&](std::size_t) { return static_cast<std::size_t>(degree); },
         [&](std::size_t, std::size_t, std::size_t) {},
         [&](std::size_t, std::size_t, std::size_t) {},
@@ -245,6 +227,33 @@ TEST_P(DirectionOptimizing, HysteresisEntersHighExitsLow) {
   EXPECT_EQ(relaxer.pull_rounds(), 3u);  // enter + hold + re-enter
   relaxer.begin_run();                // fresh run resets the state machine
   EXPECT_FALSE(run_round(20).pull);
+}
+
+TEST(DirectionEnvLane, ForcePullEnvSeedsTheDefaultPolicy) {
+  // The PARSH_FORCE_PULL ctest lane is only a distinct lane if the env
+  // read survives: a default-policy workspace must run pull rounds on a
+  // graph far too small to trip the heuristic, and a policy that names
+  // push must still override it.
+  const char* env = std::getenv("PARSH_FORCE_PULL");
+  if (env == nullptr || env[0] == '\0' || env[0] == '0') {
+    GTEST_SKIP() << "PARSH_FORCE_PULL is not set";
+  }
+  EXPECT_EQ(RoundPolicy{}.direction, RoundPolicy::Direction::kPull);
+  const Graph g = make_path(64);
+  SsspWorkspace ws;
+  bfs(g, 0, kNoVertex, ws);
+  EXPECT_GT(ws.pull_rounds(), 0u);
+  EstClusterWorkspace cws;
+  est_cluster(g, 0.5, 1, cws);
+  EXPECT_GT(cws.pull_rounds(), 0u);
+  SsspWorkspace push_ws;
+  push_ws.set_round_policy(kPush);
+  bfs(g, 0, kNoVertex, push_ws);
+  EXPECT_EQ(push_ws.pull_rounds(), 0u);
+  EstClusterWorkspace push_cws;
+  push_cws.set_round_policy(kPush);
+  est_cluster(g, 0.5, 1, push_cws);
+  EXPECT_EQ(push_cws.pull_rounds(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DirectionOptimizing,

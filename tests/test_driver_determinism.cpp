@@ -14,7 +14,6 @@
 #include "graph/generators.hpp"
 #include "hopset/hopset.hpp"
 #include "parallel/parallel_for.hpp"
-#include "parallel/team.hpp"
 #include "spanner/distributed_spanner.hpp"
 #include "sssp/bfs.hpp"
 #include "spanner/low_stretch_tree.hpp"
@@ -25,25 +24,10 @@
 #include "sssp/dynamic_approx.hpp"
 #include "sssp/hop_limited.hpp"
 #include "sssp/weighted_bfs.hpp"
+#include "thread_scope.hpp"
 
 namespace parsh {
 namespace {
-
-/// Run `f` with the OpenMP worker count forced to `threads` (no-op in the
-/// sequential build, where both runs are trivially identical).
-template <typename F>
-auto at_threads(int threads, F f) {
-#ifdef PARSH_HAVE_OPENMP
-  const int before = omp_get_max_threads();
-  omp_set_num_threads(threads);
-  auto result = f();
-  omp_set_num_threads(before);
-  return result;
-#else
-  (void)threads;
-  return f();
-#endif
-}
 
 /// The 1-vs-4-thread comparison every test below runs.
 template <typename F>
@@ -147,7 +131,7 @@ TEST_P(DriverDeterminism, DeltaStepping) {
 TEST_P(DriverDeterminism, DeltaSteppingPackedVsThreePhaseAcrossThreads) {
   const Graph g = with_uniform_weights(unweighted(), 4096, 8192, GetParam() + 29);
   SsspWorkspace forced;
-  forced.force_three_phase(true);
+  forced.set_round_policy({.reduce = RoundPolicy::Reduce::kThreePhase});
   const auto baseline = delta_stepping(g, 0, 1.0, forced);
   EXPECT_GT(forced.fallback_rounds(), 0u);
   for (int threads : {1, 4}) {
@@ -199,7 +183,7 @@ TEST_P(DriverDeterminism, WeightedBfs) {
 TEST_P(DriverDeterminism, HopLimited) {
   const Graph g = weighted();
   const auto [one, many] =
-      one_and_many([&] { return hop_limited_sssp(g, 0, 24, /*stop_early=*/true); });
+      one_and_many([&] { return hop_limited_sssp(g, 0, 24); });
   EXPECT_EQ(one.dist, many.dist);
   EXPECT_EQ(one.rounds, many.rounds);
   EXPECT_EQ(one.relaxations, many.relaxations);
@@ -218,55 +202,14 @@ TEST_P(DriverDeterminism, ApproxQueryAll) {
   EXPECT_EQ(one.relaxations, many.relaxations);
 }
 
-// --- dynamic incremental rebuild (PR 9): an epoch produced by the
-// --- incremental dirty-scale path must be bit-identical to a forced full
-// --- rebuild and to itself across thread counts, scheduling seams
-// --- (team vs fork-join via the engine's warm workspace), and graph
-// --- backings (flat vs compressed). The push/pull seam rides the
-// --- PARSH_FORCE_PULL CI lane, which runs this whole suite.
-
-TEST_P(DriverDeterminism, DynamicRebuildAcrossThreadCountsAndSeams) {
-  const Graph flat = weighted();
-  const Graph compressed = flat.compress_adjacency();
-  DynamicApproxShortestPaths::Params p;
-  p.hopset.hopset.seed = GetParam();
-  GraphDelta d;
-  d.insert.push_back({0, 200, 3.0});
-  d.insert.push_back({5, 300, 1.0});
-  d.insert.push_back({17, 17, 2.0});  // self loop no-op rides along
-  d.remove.push_back({0, 1, 1.0});
-
-  auto run = [&](const Graph& g, bool fork_join, bool force_full) {
-    DynamicApproxShortestPaths dyn(g, p);
-    if (fork_join) dyn.cluster_workspace().force_fork_join(true);
-    dyn.set_force_full_rebuild(force_full);
-    const auto res = dyn.apply(d);
-    EXPECT_EQ(res.hopset.full_rebuild, force_full);
-    return dyn.snapshot()->engine.query_all(0);
-  };
-  const auto baseline =
-      at_threads(1, [&] { return run(flat, /*fork_join=*/false, /*full=*/false); });
-  const auto check = [&](const ApproxShortestPaths::AllResult& r, const char* what) {
-    EXPECT_EQ(r.estimate, baseline.estimate) << what;
-    EXPECT_EQ(r.rounds, baseline.rounds) << what;
-    EXPECT_EQ(r.relaxations, baseline.relaxations) << what;
-  };
-  check(at_threads(4, [&] { return run(flat, false, false); }), "4t organic");
-  check(at_threads(4, [&] { return run(flat, true, false); }), "4t fork-join");
-  check(at_threads(4, [&] { return run(flat, false, true); }), "4t forced-full");
-  check(at_threads(1, [&] { return run(compressed, false, false); }),
-        "1t compressed");
-  check(at_threads(4, [&] { return run(compressed, true, true); }),
-        "4t compressed fork-join forced-full");
-}
-
-// --- persistent-team round execution (PR 5): every driver's drain loop
-// --- runs inside one parallel region with an adaptive sequential round
-// --- fast path. Output must be bit-identical across (a) the persistent
-// --- team vs the historical fork-join-per-phase scheduling
-// --- (force_fork_join), (b) adaptive sequential rounds vs every round
-// --- through the parallel phases (force_parallel_rounds), and (c) 1 vs 4
-// --- threads — in every combination.
+// --- round scheduling: every driver's drain loop runs inside one
+// --- persistent team with an adaptive sequential round fast path. Output
+// --- must be bit-identical across (a) one thread vs a real 4-wide team
+// --- (at_width forces the width, so the stages race even on hosts with
+// --- fewer processors), (b) adaptive sequential rounds vs every round
+// --- through the team stages (RoundPolicy::Rounds::kAllParallel), and
+// --- (c) every combination. The baseline is the default policy at one
+// --- thread.
 
 void expect_same_clustering(const Clustering& a, const Clustering& b) {
   EXPECT_EQ(a.cluster_of, b.cluster_of);
@@ -276,6 +219,8 @@ void expect_same_clustering(const Clustering& a, const Clustering& b) {
   EXPECT_EQ(a.num_clusters, b.num_clusters);
   EXPECT_EQ(a.rounds, b.rounds);
 }
+
+const RoundPolicy kAllParallel{.rounds = RoundPolicy::Rounds::kAllParallel};
 
 class TeamRounds : public ::testing::TestWithParam<std::uint64_t> {
  protected:
@@ -290,77 +235,67 @@ class TeamRounds : public ::testing::TestWithParam<std::uint64_t> {
   }
 };
 
-TEST_P(TeamRounds, EstClusterTeamVsForkJoinAcrossThreads) {
+TEST_P(TeamRounds, EstClusterWideTeamVsOneThread) {
   const Graph g = straddling_weighted();
-  EstClusterWorkspace fj_ws;
-  fj_ws.force_fork_join(true);
+  EstClusterWorkspace one_ws;
   const Clustering baseline =
-      at_threads(1, [&] { return est_cluster(g, 0.5, GetParam(), fj_ws); });
-  for (int threads : {1, 4}) {
-    EstClusterWorkspace team_ws;
-    // Any parallel_for reached from inside the persistent region would
-    // silently serialize; the drain loops must route every phase through
-    // Team::loop, so arm the abort hook for the duration.
-    assert_on_nested_sequential(true);
-    const Clustering team =
-        at_threads(threads, [&] { return est_cluster(g, 0.5, GetParam(), team_ws); });
-    assert_on_nested_sequential(false);
-    expect_same_clustering(team, baseline);
-    // The straddle actually happened: both round classes occurred, and
-    // identically at every thread count.
-    EXPECT_GT(team_ws.sequential_rounds(), 0u);
-    EXPECT_GT(team_ws.team_rounds(), 0u);
-    EXPECT_EQ(team_ws.sequential_rounds(), fj_ws.sequential_rounds());
-    EXPECT_EQ(team_ws.team_rounds(), fj_ws.team_rounds());
-  }
+      at_threads(1, [&] { return est_cluster(g, 0.5, GetParam(), one_ws); });
+  // The straddle actually happened: both round classes occurred.
+  EXPECT_GT(one_ws.sequential_rounds(), 0u);
+  EXPECT_GT(one_ws.team_rounds(), 0u);
+  EstClusterWorkspace team_ws;
+  // Any parallel_for reached from inside the persistent region would
+  // silently serialize; the drain loops must route every phase through
+  // Team::loop, so arm the abort hook for the duration.
+  assert_on_nested_sequential(true);
+  const Clustering team =
+      at_width(4, [&] { return est_cluster(g, 0.5, GetParam(), team_ws); });
+  assert_on_nested_sequential(false);
+  expect_same_clustering(team, baseline);
+  // The round classes are decided by round contents, not the schedule.
+  EXPECT_EQ(team_ws.sequential_rounds(), one_ws.sequential_rounds());
+  EXPECT_EQ(team_ws.team_rounds(), one_ws.team_rounds());
 }
 
 TEST_P(TeamRounds, EstClusterSequentialVsParallelRounds) {
   const Graph g = straddling_weighted();
-  EstClusterWorkspace forced;
-  forced.force_parallel_rounds(true);
   const Clustering baseline =
-      at_threads(1, [&] { return est_cluster(g, 0.5, GetParam(), forced); });
-  EXPECT_EQ(forced.sequential_rounds(), 0u);
-  EXPECT_GT(forced.team_rounds(), 0u);
-  for (int threads : {1, 4}) {
-    EstClusterWorkspace adaptive;
+      at_threads(1, [&] { return est_cluster(g, 0.5, GetParam()); });
+  for (int width : {1, 4}) {
+    EstClusterWorkspace forced;
+    forced.set_round_policy(kAllParallel);
     const Clustering out =
-        at_threads(threads, [&] { return est_cluster(g, 0.5, GetParam(), adaptive); });
-    EXPECT_GT(adaptive.sequential_rounds(), 0u);
+        at_width(width, [&] { return est_cluster(g, 0.5, GetParam(), forced); });
+    EXPECT_EQ(forced.sequential_rounds(), 0u);
+    EXPECT_GT(forced.team_rounds(), 0u);
     expect_same_clustering(out, baseline);
   }
 }
 
 TEST_P(TeamRounds, DeltaSteppingAcrossAllSchedulingModes) {
   const Graph g = straddling_weighted();
-  SsspWorkspace fj_ws;
-  fj_ws.force_fork_join(true);
+  SsspWorkspace one_ws;
   const auto baseline =
-      at_threads(1, [&] { return delta_stepping(g, 0, 4.0, fj_ws); });
-  SsspWorkspace par_ws;
-  par_ws.force_parallel_rounds(true);
-  const auto parallel_rounds =
-      at_threads(4, [&] { return delta_stepping(g, 0, 4.0, par_ws); });
-  EXPECT_EQ(par_ws.sequential_rounds(), 0u);
-  EXPECT_EQ(parallel_rounds.dist, baseline.dist);
-  EXPECT_EQ(parallel_rounds.parent, baseline.parent);
-  EXPECT_EQ(parallel_rounds.phases, baseline.phases);
-  EXPECT_EQ(parallel_rounds.relaxations, baseline.relaxations);
-  for (int threads : {1, 4}) {
-    SsspWorkspace ws;
-    assert_on_nested_sequential(true);
-    const auto team =
-        at_threads(threads, [&] { return delta_stepping(g, 0, 4.0, ws); });
-    assert_on_nested_sequential(false);
-    EXPECT_GT(ws.sequential_rounds(), 0u);
-    EXPECT_GT(ws.team_rounds(), 0u);
-    EXPECT_EQ(ws.sequential_rounds(), fj_ws.sequential_rounds());
-    EXPECT_EQ(ws.team_rounds(), fj_ws.team_rounds());
-    EXPECT_EQ(team.dist, baseline.dist);
-    EXPECT_EQ(team.parent, baseline.parent);
-    EXPECT_EQ(team.phases, baseline.phases);
-    EXPECT_EQ(team.relaxations, baseline.relaxations);
+      at_threads(1, [&] { return delta_stepping(g, 0, 4.0, one_ws); });
+  EXPECT_GT(one_ws.sequential_rounds(), 0u);
+  EXPECT_GT(one_ws.team_rounds(), 0u);
+  auto expect_same = [&](const DeltaSteppingResult& r) {
+    EXPECT_EQ(r.dist, baseline.dist);
+    EXPECT_EQ(r.parent, baseline.parent);
+    EXPECT_EQ(r.phases, baseline.phases);
+    EXPECT_EQ(r.relaxations, baseline.relaxations);
+  };
+  SsspWorkspace ws;
+  assert_on_nested_sequential(true);
+  expect_same(at_width(4, [&] { return delta_stepping(g, 0, 4.0, ws); }));
+  assert_on_nested_sequential(false);
+  EXPECT_EQ(ws.sequential_rounds(), one_ws.sequential_rounds());
+  EXPECT_EQ(ws.team_rounds(), one_ws.team_rounds());
+  for (int width : {1, 4}) {
+    SsspWorkspace par_ws;
+    par_ws.set_round_policy(kAllParallel);
+    expect_same(at_width(width, [&] { return delta_stepping(g, 0, 4.0, par_ws); }));
+    EXPECT_EQ(par_ws.sequential_rounds(), 0u);
   }
 }
 
@@ -368,79 +303,47 @@ TEST_P(TeamRounds, BfsDistancesAcrossAllSchedulingModes) {
   // BFS distances, level counts AND parents are deterministic: parents
   // are the per-level min-via argmin (docs/ARCHITECTURE.md).
   const Graph g = straddling();
-  SsspWorkspace fj_ws;
-  fj_ws.force_fork_join(true);
+  SsspWorkspace one_ws;
   const BfsResult baseline =
-      at_threads(1, [&] { return bfs(g, 0, kNoVertex, fj_ws); });
-  for (int threads : {1, 4}) {
-    SsspWorkspace ws;
-    assert_on_nested_sequential(true);
-    const BfsResult team =
-        at_threads(threads, [&] { return bfs(g, 0, kNoVertex, ws); });
-    assert_on_nested_sequential(false);
-    EXPECT_EQ(team.dist, baseline.dist);
-    EXPECT_EQ(team.parent, baseline.parent);
-    EXPECT_EQ(team.rounds, baseline.rounds);
+      at_threads(1, [&] { return bfs(g, 0, kNoVertex, one_ws); });
+  auto expect_same = [&](const BfsResult& r) {
+    EXPECT_EQ(r.dist, baseline.dist);
+    EXPECT_EQ(r.parent, baseline.parent);
+    EXPECT_EQ(r.rounds, baseline.rounds);
+  };
+  SsspWorkspace ws;
+  assert_on_nested_sequential(true);
+  expect_same(at_width(4, [&] { return bfs(g, 0, kNoVertex, ws); }));
+  assert_on_nested_sequential(false);
+  EXPECT_EQ(ws.sequential_rounds(), one_ws.sequential_rounds());
+  EXPECT_EQ(ws.team_rounds(), one_ws.team_rounds());
+  for (int width : {1, 4}) {
     SsspWorkspace par_ws;
-    par_ws.force_parallel_rounds(true);
-    const BfsResult parallel_rounds =
-        at_threads(threads, [&] { return bfs(g, 0, kNoVertex, par_ws); });
+    par_ws.set_round_policy(kAllParallel);
+    expect_same(at_width(width, [&] { return bfs(g, 0, kNoVertex, par_ws); }));
     EXPECT_EQ(par_ws.sequential_rounds(), 0u);
-    EXPECT_EQ(parallel_rounds.dist, baseline.dist);
-    EXPECT_EQ(parallel_rounds.parent, baseline.parent);
-    EXPECT_EQ(parallel_rounds.rounds, baseline.rounds);
   }
-}
-
-TEST_P(TeamRounds, ForcedWideTeamMatchesForkJoin) {
-  // Force a real 4-wide persistent team even on hosts with fewer
-  // processors (where the automatic width collapses to sequential): the
-  // staged rounds must still be bit-identical to the fork-join run.
-  const Graph g = straddling_weighted();
-  EstClusterWorkspace fj_ws;
-  fj_ws.force_fork_join(true);
-  const Clustering cluster_baseline =
-      at_threads(1, [&] { return est_cluster(g, 0.5, GetParam(), fj_ws); });
-  SsspWorkspace delta_fj;
-  delta_fj.force_fork_join(true);
-  const auto delta_baseline =
-      at_threads(1, [&] { return delta_stepping(g, 0, 4.0, delta_fj); });
-  Team::force_width(4);
-  EstClusterWorkspace team_ws;
-  const Clustering cluster_team =
-      at_threads(4, [&] { return est_cluster(g, 0.5, GetParam(), team_ws); });
-  SsspWorkspace delta_team;
-  const auto delta_wide =
-      at_threads(4, [&] { return delta_stepping(g, 0, 4.0, delta_team); });
-  Team::force_width(0);
-  expect_same_clustering(cluster_team, cluster_baseline);
-  EXPECT_EQ(delta_wide.dist, delta_baseline.dist);
-  EXPECT_EQ(delta_wide.parent, delta_baseline.parent);
-  EXPECT_EQ(delta_wide.phases, delta_baseline.phases);
-  EXPECT_EQ(delta_wide.relaxations, delta_baseline.relaxations);
 }
 
 TEST_P(TeamRounds, HopLimitedAcrossAllSchedulingModes) {
   // Barrier-separated Bellman-Ford rounds (exact dist^h): distances,
   // round and relaxation counters identical across every scheduling mode
-  // and thread count.
+  // and team width.
   const Graph g = straddling_weighted();
-  SsspWorkspace fj_ws;
-  fj_ws.force_fork_join(true);
-  const auto baseline = at_threads(
-      1, [&] { return hop_limited_sssp(g, 0, 24, /*stop_early=*/true, kInfWeight, fj_ws); });
+  SsspWorkspace one_ws;
+  const auto baseline =
+      at_threads(1, [&] { return hop_limited_sssp(g, 0, 24, kInfWeight, one_ws); });
   const auto baseline_dist = [&] {
     std::vector<weight_t> d(g.num_vertices());
-    for (vid v = 0; v < g.num_vertices(); ++v) d[v] = fj_ws.dist_of(v);
+    for (vid v = 0; v < g.num_vertices(); ++v) d[v] = one_ws.dist_of(v);
     return d;
   }();
-  for (int threads : {1, 4}) {
-    for (const bool force_parallel : {false, true}) {
+  for (int width : {1, 4}) {
+    for (const RoundPolicy& policy : {RoundPolicy{}, kAllParallel}) {
       SsspWorkspace ws;
-      ws.force_parallel_rounds(force_parallel);
-      const auto stats = at_threads(threads, [&] {
-        return hop_limited_sssp(g, 0, 24, /*stop_early=*/true, kInfWeight, ws);
-      });
+      ws.set_round_policy(policy);
+      const auto stats = at_width(
+          width, [&] { return hop_limited_sssp(g, 0, 24, kInfWeight, ws); });
       EXPECT_EQ(stats.rounds, baseline.rounds);
       EXPECT_EQ(stats.relaxations, baseline.relaxations);
       for (vid v = 0; v < g.num_vertices(); ++v) {
@@ -448,6 +351,47 @@ TEST_P(TeamRounds, HopLimitedAcrossAllSchedulingModes) {
       }
     }
   }
+}
+
+// Dynamic incremental rebuild: an epoch produced by the incremental
+// dirty-scale path must be bit-identical to a forced full rebuild and to
+// itself across team widths, round policies (set on the engine's warm
+// clustering workspace), and graph backings (flat vs compressed). The
+// push/pull seam rides the PARSH_FORCE_PULL CI lane, which runs this
+// whole suite.
+TEST_P(TeamRounds, DynamicRebuildAcrossWidthsAndPolicies) {
+  const Graph flat = with_uniform_weights(
+      ensure_connected(make_random_graph(400, 1400, GetParam())), 1, 9, GetParam() + 17);
+  const Graph compressed = flat.compress_adjacency();
+  DynamicApproxShortestPaths::Params p;
+  p.hopset.hopset.seed = GetParam();
+  GraphDelta d;
+  d.insert.push_back({0, 200, 3.0});
+  d.insert.push_back({5, 300, 1.0});
+  d.insert.push_back({17, 17, 2.0});  // self loop no-op rides along
+  d.remove.push_back({0, 1, 1.0});
+
+  auto run = [&](const Graph& g, const RoundPolicy& policy, bool force_full) {
+    DynamicApproxShortestPaths dyn(g, p);
+    dyn.cluster_workspace().set_round_policy(policy);
+    dyn.set_force_full_rebuild(force_full);
+    const auto res = dyn.apply(d);
+    EXPECT_EQ(res.hopset.full_rebuild, force_full);
+    return dyn.snapshot()->engine.query_all(0);
+  };
+  const auto baseline = at_threads(1, [&] { return run(flat, {}, /*full=*/false); });
+  const auto check = [&](const ApproxShortestPaths::AllResult& r, const char* what) {
+    EXPECT_EQ(r.estimate, baseline.estimate) << what;
+    EXPECT_EQ(r.rounds, baseline.rounds) << what;
+    EXPECT_EQ(r.relaxations, baseline.relaxations) << what;
+  };
+  check(at_width(4, [&] { return run(flat, {}, false); }), "4-wide organic");
+  check(at_width(4, [&] { return run(flat, kAllParallel, false); }),
+        "4-wide all-parallel");
+  check(at_width(4, [&] { return run(flat, {}, true); }), "4-wide forced-full");
+  check(at_threads(1, [&] { return run(compressed, {}, false); }), "1t compressed");
+  check(at_width(4, [&] { return run(compressed, kAllParallel, true); }),
+        "4-wide compressed all-parallel forced-full");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DriverDeterminism,

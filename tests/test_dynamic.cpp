@@ -40,25 +40,10 @@
 #include "parallel/parallel_for.hpp"
 #include "random/rng.hpp"
 #include "sssp/dynamic_approx.hpp"
+#include "thread_scope.hpp"
 
 namespace parsh {
 namespace {
-
-/// Run `f` with the OpenMP worker count forced to `threads` (no-op in the
-/// sequential build, where both runs are trivially identical).
-template <typename F>
-auto at_threads(int threads, F f) {
-#ifdef PARSH_HAVE_OPENMP
-  const int before = omp_get_max_threads();
-  omp_set_num_threads(threads);
-  auto result = f();
-  omp_set_num_threads(before);
-  return result;
-#else
-  (void)threads;
-  return f();
-#endif
-}
 
 DynamicApproxShortestPaths::Params harness_params() {
   DynamicApproxShortestPaths::Params p;

@@ -59,7 +59,7 @@ TEST(DialEngine, EstClusterWithHugeWeights) {
 
 TEST(HopLimited, DistLimitPrunesExactly) {
   const Graph g = make_path(30);
-  const auto r = hop_limited_sssp(g, 0, 100, /*stop_early=*/true, /*dist_limit=*/7.0);
+  const auto r = hop_limited_sssp(g, 0, 100, /*dist_limit=*/7.0);
   EXPECT_EQ(r.dist[7], 7);
   EXPECT_EQ(r.dist[8], kInfWeight);
   // Far fewer rounds than the unlimited search.
@@ -69,7 +69,7 @@ TEST(HopLimited, DistLimitPrunesExactly) {
 TEST(HopLimited, DistLimitDoesNotBreakShorterPaths) {
   Graph g = make_path(10).with_extra_edges({{0, 9, 20}});
   // Limit admits the direct heavy edge but not longer-than-limit chains.
-  const auto r = hop_limited_sssp(g, 0, 100, true, 20.0);
+  const auto r = hop_limited_sssp(g, 0, 100, 20.0);
   EXPECT_EQ(r.dist[9], 9);  // path (weight 9) is under the limit and wins
 }
 

@@ -233,7 +233,7 @@ TEST(EstClusterWorkspace, PackedStraddleMatchesThreePhaseAndOracle) {
     EXPECT_GT(packed_ws.fallback_rounds(), 0u) << seed;
 
     EstClusterWorkspace three_phase_ws;
-    three_phase_ws.force_three_phase(true);
+    three_phase_ws.set_round_policy({.reduce = RoundPolicy::Reduce::kThreePhase});
     const Clustering three = est_cluster(g, 0.001, seed, three_phase_ws);
     EXPECT_EQ(three_phase_ws.packed_rounds(), 0u);
 

@@ -224,7 +224,7 @@ TEST_F(TeamMachinery, StagesCoverEveryIterationExactlyOnce) {
   constexpr int kStages = 50;
   std::vector<std::atomic<int>> hits(kItems);
   for (auto& h : hits) h.store(0, std::memory_order_relaxed);
-  Team::drive(true, [&](Team& team) {
+  Team::drive([&](Team& team) {
     for (int s = 0; s < kStages; ++s) {
       team.loop(0, kItems, 64, [&](std::size_t i) {
         hits[i].fetch_add(1, std::memory_order_relaxed);
@@ -240,7 +240,7 @@ TEST_F(TeamMachinery, StagesCoverEveryIterationExactlyOnce) {
 }
 
 TEST_F(TeamMachinery, TinyStagesRunInlineAndEmptyStagesAreNoops) {
-  Team::drive(true, [&](Team& team) {
+  Team::drive([&](Team& team) {
     int sum = 0;
     // Below the grain the stage runs inline on the driver: a plain
     // non-atomic accumulator is safe.
@@ -250,28 +250,26 @@ TEST_F(TeamMachinery, TinyStagesRunInlineAndEmptyStagesAreNoops) {
   });
 }
 
-TEST_F(TeamMachinery, ForkJoinAndNestedModesMatchPersistent) {
+TEST_F(TeamMachinery, NestedDriveMatchesPersistent) {
   constexpr std::size_t kItems = 5000;
-  auto run = [&](bool persistent) {
-    std::vector<std::uint64_t> out(kItems, 0);
-    Team::drive(persistent, [&](Team& team) {
-      team.loop(0, kItems, 32, [&](std::size_t i) { out[i] = i * i; });
-    });
-    return out;
-  };
-  const auto team = run(true);
-  const auto fork_join = run(false);
-  EXPECT_EQ(team, fork_join);
+  std::vector<std::uint64_t> expected(kItems);
+  for (std::size_t i = 0; i < kItems; ++i) expected[i] = i * i;
+  std::vector<std::uint64_t> team(kItems, 0);
+  Team::drive([&](Team& t) {
+    t.loop(0, kItems, 32, [&](std::size_t i) { team[i] = i * i; });
+  });
+  EXPECT_EQ(team, expected);
   // Nested inside an outer drive, an inner drive degrades to inline
   // sequential loops (the outer layer owns the parallelism) — same
   // iterations, no deadlock.
   std::vector<std::uint64_t> nested(kItems, 0);
-  Team::drive(true, [&](Team&) {
-    Team::drive(true, [&](Team& inner) {
+  Team::drive([&](Team&) {
+    Team::drive([&](Team& inner) {
+      EXPECT_FALSE(inner.persistent());
       inner.loop(0, kItems, 32, [&](std::size_t i) { nested[i] = i * i; });
     });
   });
-  EXPECT_EQ(nested, team);
+  EXPECT_EQ(nested, expected);
 }
 
 TEST_F(TeamMachinery, NestedParallelForInsideTeamIsCounted) {
@@ -281,7 +279,7 @@ TEST_F(TeamMachinery, NestedParallelForInsideTeamIsCounted) {
     // A big parallel_for reached from inside the persistent region
     // silently serializes — the counter must record it (the seam the
     // drivers' Team::loop conversions must never fall through).
-    Team::drive(true, [&](Team& team) {
+    Team::drive([&](Team& team) {
       team.loop(0, 1, 1, [&](std::size_t) {
         parallel_for(0, 4 * kParallelGrain, [](std::size_t) {});
       });

@@ -26,28 +26,13 @@
 #include "sssp/bfs.hpp"
 #include "sssp/delta_stepping.hpp"
 #include "sssp/sssp_workspace.hpp"
+#include "thread_scope.hpp"
 
 namespace parsh {
 namespace {
 
 std::string tmp_path(const char* name) {
   return ::testing::TempDir() + "parsh_pcsr_" + name;
-}
-
-/// Run `f` with the OpenMP worker count forced to `threads` (no-op in
-/// the sequential build, where both runs are trivially identical).
-template <typename F>
-auto at_threads(int threads, F f) {
-#ifdef PARSH_HAVE_OPENMP
-  const int before = omp_get_max_threads();
-  omp_set_num_threads(threads);
-  auto result = f();
-  omp_set_num_threads(before);
-  return result;
-#else
-  (void)threads;
-  return f();
-#endif
 }
 
 /// Storage-level bit equality: same offsets, targets, weights.
@@ -347,10 +332,12 @@ TEST(PcsrCompressed, EstClusterBitIdenticalAtOneAndFourThreads) {
     const auto [c_flat, c_comp] = at_threads(threads, [&] {
       EstClusterWorkspace wf;
       EstClusterWorkspace wc;
-      // Pin the forced seams so both the parallel relax rounds and the
-      // pull direction run the compressed decode, not just the
-      // sequential fast path.
-      for (EstClusterWorkspace* w : {&wf, &wc}) w->force_parallel_rounds(true);
+      // Route every round through the team stages so the parallel relax
+      // rounds run the compressed decode, not just the sequential fast
+      // path.
+      for (EstClusterWorkspace* w : {&wf, &wc}) {
+        w->set_round_policy({.rounds = RoundPolicy::Rounds::kAllParallel});
+      }
       Clustering a = est_cluster(flat, 0.4, 7, wf);
       Clustering b = est_cluster(comp, 0.4, 7, wc);
       EXPECT_EQ(wf.compressed_rounds(), 0u);
@@ -369,8 +356,8 @@ TEST(PcsrCompressed, ForcedPullDecodesCompressedChunks) {
   EstClusterWorkspace wf;
   EstClusterWorkspace wc;
   for (EstClusterWorkspace* w : {&wf, &wc}) {
-    w->force_parallel_rounds(true);
-    w->force_pull(true);
+    w->set_round_policy({.rounds = RoundPolicy::Rounds::kAllParallel,
+                         .direction = RoundPolicy::Direction::kPull});
   }
   const Clustering a = est_cluster(flat, 0.4, 7, wf);
   const Clustering b = est_cluster(comp, 0.4, 7, wc);
@@ -387,7 +374,9 @@ TEST(PcsrCompressed, SsspDriversBitIdenticalAtOneAndFourThreads) {
     at_threads(threads, [&]() -> int {
       SsspWorkspace wf;
       SsspWorkspace wc;
-      for (SsspWorkspace* w : {&wf, &wc}) w->force_parallel_rounds(true);
+      for (SsspWorkspace* w : {&wf, &wc}) {
+        w->set_round_policy({.rounds = RoundPolicy::Rounds::kAllParallel});
+      }
 
       const BfsResult b1 = bfs(flat, 0, kUnreachedHops, wf);
       const BfsResult b2 = bfs(comp, 0, kUnreachedHops, wc);

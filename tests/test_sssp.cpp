@@ -160,7 +160,7 @@ TEST(HopLimited, DistHIsMonotoneNonIncreasingInH) {
                                        1, 10, 55);
   weight_t prev = kInfWeight;
   for (std::uint64_t h : {1u, 2u, 4u, 8u, 16u, 64u}) {
-    const auto r = hop_limited_sssp(g, 0, h, /*stop_early=*/false);
+    const auto r = hop_limited_sssp(g, 0, h);
     const weight_t d = r.dist[99];
     if (prev != kInfWeight) {
       EXPECT_LE(d, prev);
@@ -171,7 +171,7 @@ TEST(HopLimited, DistHIsMonotoneNonIncreasingInH) {
 
 TEST(HopLimited, ExactlyHHopsOnAPath) {
   const Graph g = make_path(20);
-  const auto r = hop_limited_sssp(g, 0, 7, /*stop_early=*/false);
+  const auto r = hop_limited_sssp(g, 0, 7);
   EXPECT_EQ(r.dist[7], 7);
   EXPECT_EQ(r.dist[8], kInfWeight);
 }
@@ -253,7 +253,7 @@ TEST(DeltaStepping, PackedRoundsMatchThreePhaseBitExactly) {
       ensure_connected(make_random_graph(400, 1600, 9)), 4096, 8192, 21);
   SsspWorkspace packed_ws;
   SsspWorkspace forced_ws;
-  forced_ws.force_three_phase(true);
+  forced_ws.set_round_policy({.reduce = RoundPolicy::Reduce::kThreePhase});
   const auto a = delta_stepping(g, 0, 1.0, packed_ws);
   const auto b = delta_stepping(g, 0, 1.0, forced_ws);
   EXPECT_GT(packed_ws.packed_rounds(), 0u);
@@ -286,7 +286,7 @@ TEST(SsspWorkspace, WarmRepeatCallsDoZeroWorkspaceAllocations) {
     const auto m = multi_bfs(g, {1, 7}, kNoVertex, ws);
     const auto w = weighted_bfs(g, 2, kInfWeight, ws);
     const auto ds = delta_stepping(g, 0, 4.0, ws);
-    const auto h = hop_limited_sssp(g, 5, 64, true, kInfWeight, ws);
+    const auto h = hop_limited_sssp(g, 5, 64, kInfWeight, ws);
     return std::tuple(b.dist, m.dist, w.dist, ds.dist, ds.parent, h.rounds);
   };
   const auto cold = run_family();
@@ -310,7 +310,7 @@ TEST(SsspWorkspace, ResultsReadableInPlaceUntilNextRun) {
     EXPECT_EQ(ws.parent_of(v), r.parent[v]);
   }
   // A distance-capped run leaves untouched vertices reading infinity.
-  (void)hop_limited_sssp(g, 0, 100, true, 6.0, ws);
+  (void)hop_limited_sssp(g, 0, 100, 6.0, ws);
   EXPECT_EQ(ws.dist_of(3), 6.0);
   EXPECT_EQ(ws.dist_of(4), kInfWeight);
   EXPECT_EQ(ws.parent_of(4), kNoVertex);

@@ -5,13 +5,13 @@
 // workers. Its contract: scheduling never changes WHICH per-edge calls
 // happen, so every driver built on the order-independent CRCW min-reduces
 // is bit-identical across (a) the stolen edge-grain path vs the
-// whole-vertex path (force_vertex_grain test hook), and (b) 1 vs many
+// whole-vertex path (RoundPolicy::Rounds::kVertexGrain), and (b) 1 vs many
 // threads. These tests pin that on the skew inputs the mechanism exists
 // for — star / hub-and-spoke graphs and heavy-tailed RMATs — plus the
 // oracle equivalence and the warm high-water reuse of the relaxer's
 // prefix scratch.
 //
-// Workspaces asserting edge_grain_rounds() pin force_push: the skew zoo's
+// Workspaces asserting edge_grain_rounds() pin a push policy: the skew zoo's
 // dense rounds trip the direction heuristic organically, and a pull round
 // is counted as neither edge- nor vertex-grain. Push-vs-pull equivalence
 // has its own suite (test_direction_optimizing.cpp).
@@ -28,25 +28,10 @@
 #include "sssp/bfs.hpp"
 #include "sssp/delta_stepping.hpp"
 #include "sssp/sssp_workspace.hpp"
+#include "thread_scope.hpp"
 
 namespace parsh {
 namespace {
-
-/// Run `f` with the OpenMP worker count forced to `threads` (no-op in the
-/// sequential build, where both runs are trivially identical).
-template <typename F>
-auto at_threads(int threads, F f) {
-#ifdef PARSH_HAVE_OPENMP
-  const int before = omp_get_max_threads();
-  omp_set_num_threads(threads);
-  auto result = f();
-  omp_set_num_threads(before);
-  return result;
-#else
-  (void)threads;
-  return f();
-#endif
-}
 
 void expect_same_clustering(const Clustering& a, const Clustering& b) {
   EXPECT_EQ(a.cluster_of, b.cluster_of);
@@ -74,7 +59,7 @@ TEST_P(WorkStealing, EstClusterStolenPathMatchesOracle) {
   for (const auto& [name, g] : skewed_graphs(GetParam())) {
     SCOPED_TRACE(name);
     EstClusterWorkspace ws;
-    ws.force_push(true);
+    ws.set_round_policy({.direction = RoundPolicy::Direction::kPush});
     const Clustering engine = est_cluster(g, 0.5, GetParam(), ws);
     // The skew actually exercised the stolen path.
     EXPECT_GT(ws.edge_grain_rounds(), 0u) << name;
@@ -95,21 +80,21 @@ TEST_P(WorkStealing, EstClusterEdgeGrainVsVertexGrainAcrossThreads) {
     SCOPED_TRACE(name);
     // Baseline: the pre-work-stealing whole-vertex scheduling, 1 thread.
     EstClusterWorkspace vertex_ws;
-    vertex_ws.force_vertex_grain(true);
+    vertex_ws.set_round_policy({.rounds = RoundPolicy::Rounds::kVertexGrain});
     const Clustering baseline =
         at_threads(1, [&] { return est_cluster(g, 0.5, GetParam(), vertex_ws); });
     EXPECT_EQ(vertex_ws.edge_grain_rounds(), 0u);
     EXPECT_GT(vertex_ws.vertex_grain_rounds(), 0u);
     for (int threads : {1, 4}) {
       EstClusterWorkspace ws;
-      ws.force_push(true);
+      ws.set_round_policy({.direction = RoundPolicy::Direction::kPush});
       const Clustering stolen =
           at_threads(threads, [&] { return est_cluster(g, 0.5, GetParam(), ws); });
       EXPECT_GT(ws.edge_grain_rounds(), 0u) << name << " @" << threads;
       expect_same_clustering(stolen, baseline);
       // And vertex-grain at many threads agrees too.
       EstClusterWorkspace ws4;
-      ws4.force_vertex_grain(true);
+      ws4.set_round_policy({.rounds = RoundPolicy::Rounds::kVertexGrain});
       const Clustering vertex4 =
           at_threads(threads, [&] { return est_cluster(g, 0.5, GetParam(), ws4); });
       expect_same_clustering(vertex4, baseline);
@@ -123,13 +108,13 @@ TEST_P(WorkStealing, DeltaSteppingStolenPathAcrossThreads) {
     const Graph g = with_uniform_weights(base, 1, 9, GetParam() + 17);
     for (const weight_t delta : {0.0, 4.0}) {
       SsspWorkspace vertex_ws;
-      vertex_ws.force_vertex_grain(true);
+      vertex_ws.set_round_policy({.rounds = RoundPolicy::Rounds::kVertexGrain});
       const auto baseline =
           at_threads(1, [&] { return delta_stepping(g, 0, delta, vertex_ws); });
       EXPECT_EQ(vertex_ws.edge_grain_rounds(), 0u);
       for (int threads : {1, 4}) {
         SsspWorkspace ws;
-        ws.force_push(true);
+        ws.set_round_policy({.direction = RoundPolicy::Direction::kPush});
         const auto stolen =
             at_threads(threads, [&] { return delta_stepping(g, 0, delta, ws); });
         EXPECT_GT(ws.edge_grain_rounds(), 0u) << name << " @" << threads;
@@ -149,12 +134,12 @@ TEST_P(WorkStealing, BfsDistancesStolenPathAcrossThreads) {
   for (const auto& [name, g] : skewed_graphs(GetParam())) {
     SCOPED_TRACE(name);
     SsspWorkspace vertex_ws;
-    vertex_ws.force_vertex_grain(true);
+    vertex_ws.set_round_policy({.rounds = RoundPolicy::Rounds::kVertexGrain});
     const BfsResult baseline =
         at_threads(1, [&] { return bfs(g, 0, kNoVertex, vertex_ws); });
     for (int threads : {1, 4}) {
       SsspWorkspace ws;
-      ws.force_push(true);
+      ws.set_round_policy({.direction = RoundPolicy::Direction::kPush});
       const BfsResult stolen =
           at_threads(threads, [&] { return bfs(g, 0, kNoVertex, ws); });
       EXPECT_GT(ws.edge_grain_rounds(), 0u) << name << " @" << threads;
@@ -182,7 +167,7 @@ TEST(WorkStealingWarm, HubHeavyRmatReusesRelaxScratch) {
   const Graph g = ensure_connected(make_rmat_heavy(60000, 360000, 7));
   at_threads(1, [&] {
     EstClusterWorkspace ws;
-    ws.force_push(true);
+    ws.set_round_policy({.direction = RoundPolicy::Direction::kPush});
     est_cluster(g, 0.4, 7, ws);  // cold: grows engine + relaxer scratch
     EXPECT_GT(ws.edge_grain_rounds(), 0u);
     const std::uint64_t engine_high = ws.engine_alloc_events();
@@ -200,7 +185,7 @@ TEST(WorkStealingWarm, DeltaSteppingHubHeavyRmatReusesWorkspace) {
       ensure_connected(make_rmat_heavy(60000, 360000, 11)), 1, 9, 13);
   at_threads(1, [&] {
     SsspWorkspace ws;
-    ws.force_push(true);
+    ws.set_round_policy({.direction = RoundPolicy::Direction::kPush});
     delta_stepping(g, 0, 4.0, ws);  // cold
     EXPECT_GT(ws.edge_grain_rounds(), 0u);
     const std::uint64_t high = ws.alloc_events();
