@@ -316,7 +316,7 @@ Clustering est_cluster(const Graph& g, double beta, std::uint64_t seed,
             }
           }
           if (live == 0) continue;  // a fully-stale bucket is not a round
-          ws.count_reduce(/*sequential=*/true, /*packed=*/true);
+          ws.counts().add_reduce(/*sequential=*/true, /*packed=*/true);
           for (const EstProposal& p : props) {
             if (best_packed[p.v].load(std::memory_order_relaxed) ==
                 pack_key_via(p.key, base_bits, p.via)) {
@@ -335,7 +335,7 @@ Clustering est_cluster(const Graph& g, double beta, std::uint64_t seed,
             }
           }
           if (live == 0) continue;  // a fully-stale bucket is not a round
-          ws.count_reduce(/*sequential=*/true, /*packed=*/false);
+          ws.counts().add_reduce(/*sequential=*/true, /*packed=*/false);
           for (const EstProposal& p : props) {
             if (alive(p) &&
                 p.key == best_key[p.v].load(std::memory_order_relaxed) &&
@@ -363,7 +363,7 @@ Clustering est_cluster(const Graph& g, double beta, std::uint64_t seed,
         });
         live = tally.drain();
         if (live == 0) continue;  // a fully-stale bucket is not a round
-        ws.count_reduce(/*sequential=*/false, /*packed=*/true);
+        ws.counts().add_reduce(/*sequential=*/false, /*packed=*/true);
         team.loop(0, props.size(), kStageGrain, [&](std::size_t i) {
           const EstProposal& p = props[i];
           if (best_packed[p.v].load(std::memory_order_relaxed) ==
@@ -383,7 +383,7 @@ Clustering est_cluster(const Graph& g, double beta, std::uint64_t seed,
         });
         live = tally.drain();
         if (live == 0) continue;  // a fully-stale bucket is not a round
-        ws.count_reduce(/*sequential=*/false, /*packed=*/false);
+        ws.counts().add_reduce(/*sequential=*/false, /*packed=*/false);
         team.loop(0, props.size(), kStageGrain, [&](std::size_t i) {
           const EstProposal& p = props[i];
           if (alive(p) && p.key == best_key[p.v].load(std::memory_order_relaxed)) {
@@ -495,7 +495,7 @@ Clustering est_cluster(const Graph& g, double beta, std::uint64_t seed,
             engine.push_from_worker(b, std::move(p));
           }),
           pull_expand);
-      if (!g.has_flat_adjacency()) ws.count_compressed();
+      if (!g.has_flat_adjacency()) ++ws.counts().compressed;
       wd::add_work(tally.drain());
     }
   });

@@ -562,13 +562,12 @@ class FrontierRelaxer {
     pull_exit_div_ = exit_div;
   }
 
-  /// Rounds scheduled as stolen edge ranges / as whole vertices /
-  /// entirely on one worker via the sequential fast path / as pull
-  /// (bitmap) rounds (cumulative; diagnostics and tests). Every relax()
-  /// call lands in exactly one.
+  /// Rounds scheduled as stolen edge ranges / as whole vertices / as pull
+  /// (bitmap) rounds (cumulative; diagnostics and tests). Sequential
+  /// fast-path rounds are counted by the consumer (RoundScheduler), from
+  /// RoundPlan::sequential.
   [[nodiscard]] std::uint64_t edge_grain_rounds() const { return edge_grain_rounds_; }
   [[nodiscard]] std::uint64_t vertex_grain_rounds() const { return vertex_grain_rounds_; }
-  [[nodiscard]] std::uint64_t sequential_rounds() const { return sequential_rounds_; }
   [[nodiscard]] std::uint64_t pull_rounds() const { return pull_rounds_; }
   /// Edges examined by pull-round candidate scans (cumulative; the
   /// direction heuristic's payoff is this growing slower than the pushed
@@ -684,7 +683,6 @@ class FrontierRelaxer {
     if (seq_threshold != 0 && total <= seq_threshold) {
       // The adaptive sequential fast path: one worker, no staging, no
       // atomics needed by the body.
-      ++sequential_rounds_;
       for (std::size_t i = 0; i < frontier; ++i) {
         const std::size_t deg = prefix_[i + 1] - prefix_[i];
         if (deg != 0) seq_body(i, std::size_t{0}, deg);
@@ -843,7 +841,6 @@ class FrontierRelaxer {
   std::vector<std::size_t>* round_edges_sink_ = nullptr;  // bench histogram
   std::uint64_t edge_grain_rounds_ = 0;
   std::uint64_t vertex_grain_rounds_ = 0;
-  std::uint64_t sequential_rounds_ = 0;
   std::uint64_t pull_rounds_ = 0;
   std::uint64_t pull_edges_scanned_ = 0;
   std::uint64_t pull_enter_div_ = kPullEnterDivisor;

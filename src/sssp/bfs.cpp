@@ -16,11 +16,12 @@ namespace parsh {
 namespace {
 
 /// Workspace state one BFS run threads through the level loop (references
-/// into the friend-accessible SsspWorkspace members, its round scheduler,
-/// and the run's base stamp).
+/// into the friend-accessible SsspWorkspace members, including its relaxer
+/// and round counters, and the run's base stamp).
 struct BfsCtx {
   const Graph& g;
-  RoundScheduler& rounds;  // relaxer, policy and round counters
+  FrontierRelaxer& relaxer;  // holds the round policy
+  RoundCounts& counts;
   BucketEngine<vid>& engine;
   std::vector<vid>& frontier;
   std::vector<std::vector<vid>>& newly_local;  // per-worker claim winners
@@ -57,7 +58,7 @@ vid run_bfs(BfsCtx ctx, vid max_levels, NextStamp next_stamp, Finalize finalize)
   std::vector<std::atomic<std::uint64_t>>& stamp = ctx.stamp;
   std::vector<std::atomic<vid>>& best_via = ctx.best_via;
   const std::uint64_t run_base = ctx.run_base;
-  FrontierRelaxer& relaxer = ctx.rounds.relaxer();
+  FrontierRelaxer& relaxer = ctx.relaxer;
   vid level = 0;
   Team::drive([&](Team& team) {
     std::uint64_t key;
@@ -173,8 +174,8 @@ vid run_bfs(BfsCtx ctx, vid max_levels, NextStamp next_stamp, Finalize finalize)
         team.loop(0, ctx.newly.size(), std::size_t{512},
                   [&](std::size_t i) { finalize(ctx.newly[i], next_level); });
       }
-      ctx.rounds.count_round(plan.sequential);
-      if (!g.has_flat_adjacency()) ctx.rounds.count_compressed();
+      ctx.counts.add_round(plan.sequential);
+      if (!g.has_flat_adjacency()) ++ctx.counts.compressed;
       wd::add_work(plan.edges);  // the relaxer's prefix scan summed degrees
     }
   });
@@ -200,7 +201,8 @@ BfsResult bfs(const Graph& g, vid source, vid max_levels, SsspWorkspace& ws) {
   ws.stamp_[source].store(run_base, std::memory_order_relaxed);
   engine.push(0, source);
   BfsCtx ctx{g,
-             ws,
+             ws.relaxer(),
+             ws.counts(),
              engine,
              ws.frontier_,
              ws.newly_local_,
@@ -248,7 +250,8 @@ MultiBfsResult multi_bfs(const Graph& g, const std::vector<vid>& sources,
     engine.push(0, s);
   }
   BfsCtx ctx{g,
-             ws,
+             ws.relaxer(),
+             ws.counts(),
              engine,
              ws.frontier_,
              ws.newly_local_,

@@ -150,7 +150,7 @@ DeltaSteppingResult delta_stepping(const Graph& g, vid source, weight_t delta,
             }
           }
           if (live != 0) {
-            ws.count_reduce(/*sequential=*/true, /*packed=*/true);
+            ws.counts().add_reduce(/*sequential=*/true, /*packed=*/true);
             const std::uint64_t round_id = ws.next_stamp_();
             for (const SsspProposal& p : props) {
               if (best_packed[p.v].load(std::memory_order_relaxed) ==
@@ -171,7 +171,7 @@ DeltaSteppingResult delta_stepping(const Graph& g, vid source, weight_t delta,
             }
           }
           if (live != 0) {
-            ws.count_reduce(/*sequential=*/true, /*packed=*/false);
+            ws.counts().add_reduce(/*sequential=*/true, /*packed=*/false);
             for (const SsspProposal& p : props) {
               if (p.dist == best_key[p.v].load(std::memory_order_relaxed) &&
                   p.via < best_via[p.v].load(std::memory_order_relaxed)) {
@@ -203,7 +203,7 @@ DeltaSteppingResult delta_stepping(const Graph& g, vid source, weight_t delta,
         });
         live = tally.drain();
         if (live != 0) {
-          ws.count_reduce(/*sequential=*/false, /*packed=*/true);
+          ws.counts().add_reduce(/*sequential=*/false, /*packed=*/true);
           const std::uint64_t round_id = ws.next_stamp_();
           team.loop(0, props.size(), kStageGrain, [&](std::size_t i) {
             const SsspProposal& p = props[i];
@@ -225,7 +225,7 @@ DeltaSteppingResult delta_stepping(const Graph& g, vid source, weight_t delta,
         });
         live = tally.drain();
         if (live != 0) {
-          ws.count_reduce(/*sequential=*/false, /*packed=*/false);
+          ws.counts().add_reduce(/*sequential=*/false, /*packed=*/false);
           team.loop(0, props.size(), kStageGrain, [&](std::size_t i) {
             const SsspProposal& p = props[i];
             if (p.dist == best_key[p.v].load(std::memory_order_relaxed)) {
@@ -351,7 +351,7 @@ DeltaSteppingResult delta_stepping(const Graph& g, vid source, weight_t delta,
             engine.push_from_worker(bb, p);
           }),
           pull_scan);
-      if (!g.has_flat_adjacency()) ws.count_compressed();
+      if (!g.has_flat_adjacency()) ++ws.counts().compressed;
       const std::uint64_t relaxed = tally.drain();
       r.relaxations += relaxed;
       wd::add_work(relaxed);

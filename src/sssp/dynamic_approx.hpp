@@ -160,10 +160,9 @@ class DynamicApproxShortestPaths {
   [[nodiscard]] vid num_vertices() const { return n_; }
   [[nodiscard]] const Params& params() const { return params_; }
 
-  /// The rebuild's warm workspaces, exposed for the determinism suite's
-  /// RoundPolicy matrix (set_round_policy lives on these).
+  /// The rebuild's warm clustering workspace, exposed so the determinism
+  /// suite can set its RoundPolicy (set_round_policy).
   [[nodiscard]] EstClusterWorkspace& cluster_workspace() { return cluster_ws_; }
-  [[nodiscard]] SsspWorkspacePool& build_pool() { return build_pool_; }
 
  private:
   Params params_;

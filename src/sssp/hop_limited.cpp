@@ -23,7 +23,8 @@ struct BellmanFordRefs {
   std::vector<std::vector<vid>>& newly_local;    // per-worker improvers
   std::vector<std::vector<vid>>& touched_local;  // per-worker first touches
   std::vector<std::size_t>& offset;              // concat scan scratch
-  RoundScheduler& rounds;                        // relaxer and round counters
+  FrontierRelaxer& relaxer;                      // holds the round policy
+  RoundCounts& counts;
   std::atomic<std::uint64_t>& allocs;
 };
 
@@ -56,7 +57,7 @@ void relax_round(const Graph& g, BellmanFordRefs& r, TeamLike& team,
     r.frontier_dist[i] = dist_of(r.frontier[i]);
   });
   r.improved.clear();
-  const auto plan = r.rounds.relaxer().relax(
+  const auto plan = r.relaxer.relax(
       team, r.frontier.size(),
       [&](std::size_t i) { return static_cast<std::size_t>(g.degree(r.frontier[i])); },
       // Sequential round: one worker, plain relaxed loads/stores, direct
@@ -101,8 +102,8 @@ void relax_round(const Graph& g, BellmanFordRefs& r, TeamLike& team,
           }
         });
       });
-  r.rounds.count_round(plan.sequential);
-  if (!g.has_flat_adjacency()) r.rounds.count_compressed();
+  r.counts.add_round(plan.sequential);
+  if (!g.has_flat_adjacency()) ++r.counts.compressed;
   *relaxations += plan.edges;
   wd::add_work(plan.edges);
   wd::add_round();
@@ -143,8 +144,8 @@ HopLimitedStats hop_limited_sssp(const Graph& g, vid source, std::uint64_t h,
   ws.begin_run_(g.num_vertices());
   BellmanFordRefs r{ws.dist_,          ws.touched_,       ws.frontier_,
                     ws.improved_,      ws.frontier_dist_, ws.newly_local_,
-                    ws.touched_local_, ws.offset_,        ws,
-                    ws.scratch_allocs_};
+                    ws.touched_local_, ws.offset_,        ws.relaxer(),
+                    ws.counts(),       ws.scratch_allocs_};
   r.dist[source].store(0, std::memory_order_relaxed);
   detail::push_counted(r.touched, source, r.allocs);
   r.frontier.clear();
@@ -194,8 +195,8 @@ std::uint64_t hops_to_approx(const Graph& g, vid s, vid t, weight_t true_dist,
   ws.begin_run_(g.num_vertices());
   BellmanFordRefs r{ws.dist_,          ws.touched_,       ws.frontier_,
                     ws.improved_,      ws.frontier_dist_, ws.newly_local_,
-                    ws.touched_local_, ws.offset_,        ws,
-                    ws.scratch_allocs_};
+                    ws.touched_local_, ws.offset_,        ws.relaxer(),
+                    ws.counts(),       ws.scratch_allocs_};
   r.dist[s].store(0, std::memory_order_relaxed);
   detail::push_counted(r.touched, s, r.allocs);
   r.frontier.clear();
