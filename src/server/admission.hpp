@@ -5,7 +5,7 @@
 //   1. Coalesce arrivals into batches sized so one dispatch drains in
 //      about `batch_budget_ms`, using a warm-start EWMA of ms/query
 //      (seeded from the measured warm ms/query of
-//      results/BENCH_thm12_approx_sssp.json via
+//      BENCH_thm12_approx_sssp.json via
 //      AdmissionParams::warm_ms_per_query_hint).
 //   2. Shed load instead of queueing it: a request is rejected with
 //      RESOURCE_EXHAUSTED (plus a retry-after hint sized to the backlog)

@@ -63,10 +63,12 @@ ApproxShortestPaths::QueryResult ApproxShortestPaths::query(
     const HopsetScale& sc = hopset_.scales[i];
     // Only distances up to the scale's cap are this scale's business;
     // pruning there makes out-of-scale searches die after a few rounds.
+    // Bounding by t stops relaxing what cannot beat dist(t) once t is
+    // reached; dist(t) itself is unchanged, so the answer is too.
     const weight_t dist_limit =
         sc.d * ratio * (1.0 + params_.epsilon) / sc.w_hat + 1.0;
-    const HopLimitedStats r =
-        hop_limited_sssp(sc.rounded, s, hop_budget_[i], dist_limit, ws, opts.deadline);
+    const HopLimitedStats r = hop_limited_sssp(sc.rounded, s, hop_budget_[i],
+                                               dist_limit, ws, opts.deadline, t);
     out.rounds += r.rounds;
     out.relaxations += r.relaxations;
     // A deadline-cut sweep's distances are still valid upper bounds, so

@@ -117,8 +117,9 @@ class ApproxShortestPaths {
 
   /// Batch form: approximate distances from s to every vertex (one
   /// hop-budgeted sweep per scale; unreachable stays kInfWeight). This is
-  /// the "single-source" reading of Theorem 1.2 — same rounds as one
-  /// query, answers for all targets.
+  /// the "single-source" reading of Theorem 1.2 — the same per-scale hop
+  /// budget as one query, answers for all targets. Its sweeps carry no
+  /// target bound, so they cost more than a point query's.
   struct AllResult {
     std::vector<weight_t> estimate;
     std::uint64_t rounds = 0;

@@ -41,10 +41,19 @@ struct BellmanFordRefs {
 /// stolen ranges across the persistent team, or — below the threshold —
 /// one worker with plain writes. First touches are recorded so the
 /// workspace can restore its dist-infinity invariant lazily.
+///
+/// With a `target` (kNoVertex: none), proposals at or above its
+/// round-start distance are dropped and vertices at or above its
+/// post-barrier distance leave the next frontier. Weights are positive
+/// and floating-point addition is monotone, so every prefix of a path
+/// weighs at most the path: neither cut removes a path that beats
+/// dist(target). Both cuts read barrier-fixed values, so the smaller
+/// frontiers (and counters) stay schedule-independent.
 template <typename TeamLike>
 void relax_round(const Graph& g, BellmanFordRefs& r, TeamLike& team,
-                 std::uint64_t* relaxations, weight_t dist_limit) {
+                 std::uint64_t* relaxations, weight_t dist_limit, vid target) {
   auto dist_of = [&](vid v) { return r.dist[v].load(std::memory_order_relaxed); };
+  const weight_t bound = target == kNoVertex ? kInfWeight : dist_of(target);
   // Snapshot the frontier's round-start distances: relaxations below may
   // lower dist[u] for a frontier member u mid-round (a short cross edge),
   // and the barrier-separated contract requires every proposal this round
@@ -69,7 +78,7 @@ void relax_round(const Graph& g, BellmanFordRefs& r, TeamLike& team,
         const weight_t du = r.frontier_dist[i];
         g.for_arcs(u, lo, hi, [](vid) {}, [&](eid e, vid v) {
           const weight_t nd = du + g.weight(e);
-          if (nd > dist_limit) return;
+          if (nd > dist_limit || nd >= bound) return;
           const weight_t dv = dist_of(v);
           if (nd >= dv) return;
           r.dist[v].store(nd, std::memory_order_relaxed);
@@ -87,7 +96,7 @@ void relax_round(const Graph& g, BellmanFordRefs& r, TeamLike& team,
         const weight_t du = r.frontier_dist[i];
         g.for_arcs(u, lo, hi, [](vid) {}, [&](eid e, vid v) {
           const weight_t nd = du + g.weight(e);
-          if (nd > dist_limit) return;
+          if (nd > dist_limit || nd >= bound) return;
           weight_t cur = r.dist[v].load(std::memory_order_relaxed);
           while (nd < cur) {
             if (r.dist[v].compare_exchange_weak(cur, nd,
@@ -132,6 +141,12 @@ void relax_round(const Graph& g, BellmanFordRefs& r, TeamLike& team,
   std::sort(r.improved.begin(), r.improved.end());
   r.improved.erase(std::unique(r.improved.begin(), r.improved.end()),
                    r.improved.end());
+  if (target != kNoVertex) {
+    const weight_t dt = dist_of(target);
+    r.improved.erase(std::remove_if(r.improved.begin(), r.improved.end(),
+                                    [&](vid v) { return dist_of(v) >= dt; }),
+                     r.improved.end());
+  }
   std::swap(r.frontier, r.improved);
 }
 
@@ -139,8 +154,9 @@ void relax_round(const Graph& g, BellmanFordRefs& r, TeamLike& team,
 
 HopLimitedStats hop_limited_sssp(const Graph& g, vid source, std::uint64_t h,
                                  weight_t dist_limit, SsspWorkspace& ws,
-                                 const Deadline& deadline) {
+                                 const Deadline& deadline, vid target) {
   require_vertex(g, source, "hop_limited_sssp");
+  if (target != kNoVertex) require_vertex(g, target, "hop_limited_sssp");
   ws.begin_run_(g.num_vertices());
   BellmanFordRefs r{ws.dist_,          ws.touched_,       ws.frontier_,
                     ws.improved_,      ws.frontier_dist_, ws.newly_local_,
@@ -162,7 +178,7 @@ HopLimitedStats hop_limited_sssp(const Graph& g, vid source, std::uint64_t h,
         stats.deadline_hit = true;
         break;
       }
-      relax_round(g, r, team, &stats.relaxations, dist_limit);
+      relax_round(g, r, team, &stats.relaxations, dist_limit, target);
       ++stats.rounds;
     }
   });
@@ -190,6 +206,8 @@ HopLimitedResult hop_limited_sssp(const Graph& g, vid source, std::uint64_t h,
 
 std::uint64_t hops_to_approx(const Graph& g, vid s, vid t, weight_t true_dist,
                              double eps, std::uint64_t h_cap) {
+  require_vertex(g, s, "hops_to_approx");
+  require_vertex(g, t, "hops_to_approx");
   if (s == t) return 0;
   SsspWorkspace ws;
   ws.begin_run_(g.num_vertices());
@@ -207,8 +225,8 @@ std::uint64_t hops_to_approx(const Graph& g, vid s, vid t, weight_t true_dist,
   std::uint64_t reached_at = h_cap;
   Team::drive([&](Team& team) {
     for (std::uint64_t h = 1; h <= h_cap; ++h) {
-      if (r.frontier.empty()) return;  // converged without reaching goal
-      relax_round(g, r, team, &relaxations, kInfWeight);
+      if (r.frontier.empty()) return;  // dist(t) final without reaching goal
+      relax_round(g, r, team, &relaxations, kInfWeight, t);
       ++rounds;
       if (ws.dist_of(t) <= goal) {
         reached_at = h;

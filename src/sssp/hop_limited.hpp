@@ -56,14 +56,25 @@ HopLimitedResult hop_limited_sssp(const Graph& g, vid source, std::uint64_t h,
 /// serving layer's per-request budget): on expiry the sweep returns with
 /// deadline_hit set and whatever distances the completed rounds settled.
 /// The default never-expiring deadline makes the check a flag test.
+///
+/// `target` (default kNoVertex: none) bounds the sweep by dist(target):
+/// each round drops proposals at or above the target's round-start
+/// distance, and vertices at or above its post-round distance leave the
+/// frontier. Only ws.dist_of(target) is then exact dist^h — after every
+/// round, bit-equal to the unbounded sweep's — while other touched
+/// vertices hold upper bounds. rounds/relaxations fall but stay
+/// schedule-independent. The s-t query engine passes its t; all-targets
+/// callers pass none.
 HopLimitedStats hop_limited_sssp(const Graph& g, vid source, std::uint64_t h,
                                  weight_t dist_limit, SsspWorkspace& ws,
-                                 const Deadline& deadline = Deadline::never());
+                                 const Deadline& deadline = Deadline::never(),
+                                 vid target = kNoVertex);
 
 /// The number of hops needed for the s-t distance to drop to within
 /// (1+eps) of `true_dist`: runs rounds until
 /// dist^h(s,t) <= (1+eps) * true_dist and returns that h
-/// (or `h_cap` if the bound is not reached by then).
+/// (or `h_cap` if the bound is not reached by then). The rounds are
+/// target-bounded as above, so h is the unbounded sweep's at less work.
 std::uint64_t hops_to_approx(const Graph& g, vid s, vid t, weight_t true_dist,
                              double eps, std::uint64_t h_cap);
 

@@ -130,7 +130,7 @@ class SsspWorkspace : public RoundScheduler {
                                                    weight_t, SsspWorkspace&);
   friend HopLimitedStats hop_limited_sssp(const Graph&, vid, std::uint64_t,
                                           weight_t, SsspWorkspace&,
-                                          const Deadline&);
+                                          const Deadline&, vid);
   friend std::uint64_t hops_to_approx(const Graph&, vid, vid, weight_t, double,
                                       std::uint64_t);
 

@@ -2,10 +2,17 @@
 // against exact Dijkstra across topologies, weights and epsilons.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <stdexcept>
+
 #include "graph/generators.hpp"
 #include "random/rng.hpp"
 #include "sssp/approx_query.hpp"
 #include "sssp/dijkstra.hpp"
+#include "sssp/hop_limited.hpp"
 
 namespace parsh {
 namespace {
@@ -165,6 +172,188 @@ TEST(ApproxQuery, QueryAllIsValidUpperBoundOnExact) {
     EXPECT_LE(all.estimate[v], exact.dist[v] * 1.75 + 1e-6) << v;
   }
   EXPECT_EQ(all.estimate[3], 0);
+}
+
+// --- Target-bounded sweeps. query() hands t to each scale's sweep, which
+// --- then stops relaxing what cannot beat dist(t). The contract is that
+// --- the answer is untouched: estimate bits and the answering scale equal
+// --- the same scale loop run over untargeted sweeps, on every storage,
+// --- degraded tier and deadline cut.
+
+using Engine = ApproxShortestPaths;
+
+std::uint64_t bits(weight_t w) { return std::bit_cast<std::uint64_t>(w); }
+
+struct ReferenceAnswer {
+  weight_t estimate = kInfWeight;
+  std::size_t scale_used = 0;
+};
+
+/// The engine's scale loop, rebuilt from its public hopset over
+/// untargeted hop_limited_sssp sweeps. `p` must be the engine's
+/// normalized parameters.
+ReferenceAnswer untargeted_query(const Engine& engine, const Engine::Params& p,
+                                 vid n, vid s, vid t, std::size_t skip,
+                                 const Deadline& deadline) {
+  ReferenceAnswer out;
+  if (s == t) {
+    out.estimate = 0;
+    return out;
+  }
+  const WeightedHopset& hs = engine.hopset();
+  const double ratio =
+      std::pow(static_cast<double>(std::max<vid>(n, 2)), p.hopset.eta);
+  const std::uint64_t budget = std::min<std::uint64_t>(
+      p.max_hops, static_cast<std::uint64_t>(std::ceil(hs.k_hops * p.hop_slack)) + 2);
+  SsspWorkspace ws;
+  for (std::size_t i = std::min(skip, hs.scales.size() - 1); i < hs.scales.size(); ++i) {
+    if (deadline.expired()) break;
+    const HopsetScale& sc = hs.scales[i];
+    const weight_t dist_limit = sc.d * ratio * (1.0 + p.epsilon) / sc.w_hat + 1.0;
+    const HopLimitedStats r =
+        hop_limited_sssp(sc.rounded, s, budget, dist_limit, ws, deadline);
+    const weight_t dt = ws.dist_of(t);
+    if (dt != kInfWeight) {
+      const weight_t est = dt * sc.w_hat;
+      if (est < out.estimate) {
+        out.estimate = est;
+        out.scale_used = i;
+      }
+      if (!r.deadline_hit && est <= sc.d * ratio * (1.0 + p.epsilon)) break;
+    }
+    if (r.deadline_hit) break;
+  }
+  return out;
+}
+
+/// (topology, real weights): grid, RMAT or path-with-chords, with unit
+/// weights or non-integer real ones.
+class TargetBounded : public ::testing::TestWithParam<std::tuple<int, bool>> {
+ protected:
+  [[nodiscard]] Graph graph() const {
+    const auto [which, real] = GetParam();
+    Graph g = which == 0   ? make_grid(14, 14)
+              : which == 1 ? ensure_connected(make_rmat(256, 1024, 5))
+                           : make_path_with_chords(400, 20, 5);
+    if (!real) return g;
+    // Log-uniform integers scaled by an irrational-ish factor: no weight
+    // or path sum is an integer, so rounding ties differ from unit runs.
+    return with_log_uniform_weights(g, 64.0, 9).map_weights(
+        [](weight_t w) { return w * 0.7316 + 0.0419; });
+  }
+  [[nodiscard]] static Engine::Params params() {
+    Engine::Params p;
+    p.hopset.zeta = p.epsilon / 2.0;  // normalized: the hopset ctor reuses it
+    p.hopset.hopset.seed = 11;
+    return p;
+  }
+  /// The same engine with every scale graph on compressed adjacency.
+  [[nodiscard]] static Engine compressed(const Engine& engine, vid n,
+                                         const Engine::Params& p) {
+    WeightedHopset hs = engine.hopset();
+    for (HopsetScale& sc : hs.scales) sc.rounded = sc.rounded.compress_adjacency();
+    return Engine(n, std::move(hs), p);
+  }
+  [[nodiscard]] static std::vector<Engine::QueryPair> pairs(vid n) {
+    Rng rng(23);
+    std::vector<Engine::QueryPair> out;
+    for (int q = 0; q < 8; ++q) {
+      out.emplace_back(static_cast<vid>(rng.uniform_int(2 * q, n)),
+                       static_cast<vid>(rng.uniform_int(2 * q + 1, n)));
+    }
+    out.emplace_back(0, n - 1);
+    return out;
+  }
+};
+
+TEST_P(TargetBounded, QueryMatchesUntargetedScaleLoop) {
+  const Graph g = graph();
+  const vid n = g.num_vertices();
+  const Engine::Params p = params();
+  const Engine flat(g, p);
+  const Engine packed = compressed(flat, n, p);
+  ASSERT_FALSE(packed.hopset().scales.front().rounded.has_flat_adjacency());
+  for (const Engine* engine : {&flat, &packed}) {
+    SsspWorkspace ws;
+    for (const auto& [s, t] : pairs(n)) {
+      for (std::size_t skip = 0; skip < engine->num_scales(); ++skip) {
+        Engine::QueryOptions opts;
+        opts.skip_scales = skip;
+        const auto got = engine->query(s, t, ws, opts);
+        const auto want = untargeted_query(*engine, p, n, s, t, skip, Deadline::never());
+        ASSERT_EQ(bits(got.estimate), bits(want.estimate))
+            << "s=" << s << " t=" << t << " skip=" << skip;
+        ASSERT_EQ(got.scale_used, want.scale_used)
+            << "s=" << s << " t=" << t << " skip=" << skip;
+      }
+    }
+  }
+}
+
+TEST_P(TargetBounded, DeadlinePartialsMatchUntargetedScaleLoop) {
+  // Countdown deadlines cut the query after every possible poll. A cut
+  // inside a scale leaves dist^k(t), which the bound does not change.
+  const Graph g = graph();
+  const vid n = g.num_vertices();
+  const Engine::Params p = params();
+  const Engine flat(g, p);
+  const Engine packed = compressed(flat, n, p);
+  for (const Engine* engine : {&flat, &packed}) {
+    SsspWorkspace ws;
+    for (const auto& [s, t] : pairs(n)) {
+      for (std::uint64_t checks = 0;; ++checks) {
+        Engine::QueryOptions opts;
+        opts.deadline = Deadline::after_checks(checks);
+        const auto got = engine->query(s, t, ws, opts);
+        const auto want = untargeted_query(*engine, p, n, s, t, 0,
+                                           Deadline::after_checks(checks));
+        ASSERT_EQ(bits(got.estimate), bits(want.estimate))
+            << "s=" << s << " t=" << t << " checks=" << checks;
+        ASSERT_EQ(got.scale_used, want.scale_used)
+            << "s=" << s << " t=" << t << " checks=" << checks;
+        if (!got.deadline_exceeded) break;
+      }
+    }
+  }
+}
+
+TEST_P(TargetBounded, TargetDistanceIsExactAtEveryHopBudget) {
+  // dist_of(t) after h target-bounded rounds is bit-equal to the
+  // untargeted sweep's dist^h(t), for every h, with and without a cap.
+  const Graph g = graph();
+  const vid n = g.num_vertices();
+  SsspWorkspace bounded;
+  SsspWorkspace plain;
+  for (const auto& [s, t] : pairs(n)) {
+    const weight_t exact = st_distance(g, s, t);
+    for (const weight_t limit : {kInfWeight, 0.6 * exact}) {
+      std::uint64_t bounded_work = 0;
+      std::uint64_t plain_work = 0;
+      for (std::uint64_t h = 1; h <= 48; ++h) {
+        const auto b =
+            hop_limited_sssp(g, s, h, limit, bounded, Deadline::never(), t);
+        const auto u = hop_limited_sssp(g, s, h, limit, plain);
+        ASSERT_EQ(bits(bounded.dist_of(t)), bits(plain.dist_of(t)))
+            << "s=" << s << " t=" << t << " h=" << h << " limit=" << limit;
+        ASSERT_LE(b.rounds, u.rounds);
+        bounded_work += b.relaxations;
+        plain_work += u.relaxations;
+      }
+      EXPECT_LE(bounded_work, plain_work);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Graphs, TargetBounded,
+                         ::testing::Combine(::testing::Values(0, 1, 2),
+                                            ::testing::Bool()));
+
+TEST(TargetBoundedSweep, RejectsOutOfRangeTarget) {
+  const Graph g = make_grid(4, 4);
+  SsspWorkspace ws;
+  EXPECT_THROW((void)hop_limited_sssp(g, 0, 4, kInfWeight, ws, Deadline::never(), 16),
+               std::out_of_range);
+  EXPECT_THROW((void)hops_to_approx(g, 0, 16, 6.0, 0.1, 8), std::out_of_range);
 }
 
 }  // namespace

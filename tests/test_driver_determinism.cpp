@@ -353,6 +353,71 @@ TEST_P(TeamRounds, HopLimitedAcrossAllSchedulingModes) {
   }
 }
 
+// Target-bounded sweeps (the s-t query path): the bound is read at round
+// start and the frontier filter runs after the barrier, so dist(t) and
+// the now-smaller rounds/relaxations counters must still match across
+// team widths, round policies and flat/compressed storage.
+TEST_P(TeamRounds, TargetBoundedSweepAndQueryAcrossWidthsPoliciesAndStorage) {
+  const RoundPolicy kVertexGrain{.rounds = RoundPolicy::Rounds::kVertexGrain};
+  const Graph flat = straddling_weighted();
+  const Graph compressed = flat.compress_adjacency();
+  const vid t = flat.num_vertices() / 2;
+  SsspWorkspace one_ws;
+  const auto baseline = at_threads(1, [&] {
+    return hop_limited_sssp(flat, 0, 24, kInfWeight, one_ws, Deadline::never(), t);
+  });
+  const weight_t baseline_dt = one_ws.dist_of(t);
+  ASSERT_NE(baseline_dt, kInfWeight);
+  // The bound cut work, and the cut sweep still straddles the adaptive
+  // threshold.
+  EXPECT_LT(baseline.relaxations, hop_limited_sssp(flat, 0, 24).relaxations);
+  EXPECT_GT(one_ws.team_rounds(), 0u);
+
+  const Graph small = with_uniform_weights(
+      ensure_connected(make_random_graph(600, 2400, GetParam())), 1, 9,
+      GetParam() + 17);
+  ApproxShortestPaths::Params p;
+  p.hopset.zeta = p.epsilon / 2.0;  // normalized, so the hopset ctor agrees
+  p.hopset.hopset.seed = GetParam();
+  const ApproxShortestPaths engine(small, p);
+  WeightedHopset packed_hopset = engine.hopset();
+  for (HopsetScale& sc : packed_hopset.scales) {
+    sc.rounded = sc.rounded.compress_adjacency();
+  }
+  const ApproxShortestPaths packed(small.num_vertices(), std::move(packed_hopset), p);
+  const vid qs = 3;
+  const vid qt = small.num_vertices() - 5;
+  const auto want = at_threads(1, [&] {
+    SsspWorkspace ws;
+    return engine.query(qs, qt, ws);
+  });
+  ASSERT_NE(want.estimate, kInfWeight);
+
+  for (const RoundPolicy& policy : {RoundPolicy{}, kAllParallel, kVertexGrain}) {
+    for (const Graph* g : {&flat, &compressed}) {
+      SsspWorkspace ws;
+      ws.set_round_policy(policy);
+      assert_on_nested_sequential(true);
+      const auto stats = at_width(4, [&] {
+        return hop_limited_sssp(*g, 0, 24, kInfWeight, ws, Deadline::never(), t);
+      });
+      assert_on_nested_sequential(false);
+      EXPECT_EQ(ws.dist_of(t), baseline_dt);
+      EXPECT_EQ(stats.rounds, baseline.rounds);
+      EXPECT_EQ(stats.relaxations, baseline.relaxations);
+    }
+    for (const ApproxShortestPaths* e : {&engine, &packed}) {
+      SsspWorkspace ws;
+      ws.set_round_policy(policy);
+      const auto got = at_width(4, [&] { return e->query(qs, qt, ws); });
+      EXPECT_EQ(got.estimate, want.estimate);
+      EXPECT_EQ(got.scale_used, want.scale_used);
+      EXPECT_EQ(got.rounds, want.rounds);
+      EXPECT_EQ(got.relaxations, want.relaxations);
+    }
+  }
+}
+
 // Dynamic incremental rebuild: an epoch produced by the incremental
 // dirty-scale path must be bit-identical to a forced full rebuild and to
 // itself across team widths, round policies (set on the engine's warm
