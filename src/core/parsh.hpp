@@ -14,7 +14,7 @@
 //   DynamicApproxShortestPaths — batched edge updates, epoch-swapped
 //                            incremental re-serving over apply_delta
 // plus the substrates: CSR graphs, generators, parallel primitives, BFS /
-// weighted BFS / Dijkstra / delta-stepping / hop-limited search.
+// weighted BFS / Dijkstra / hop-limited search.
 #pragma once
 
 #include "cluster/cluster_connectivity.hpp"
@@ -51,7 +51,6 @@
 #include "spanner/verify.hpp"
 #include "sssp/approx_query.hpp"
 #include "sssp/bfs.hpp"
-#include "sssp/delta_stepping.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/dynamic_approx.hpp"
 #include "sssp/hop_limited.hpp"

@@ -1,6 +1,6 @@
 // CAS-loop atomic combining operations (the CRCW PRAM "priority write").
-// EST clustering and the round-synchronous SSSP routines resolve concurrent
-// writes to the same vertex with these, plus the packed 64-bit
+// EST clustering and level-synchronous BFS resolve concurrent writes to the
+// same vertex with these; EST clustering also uses the packed 64-bit
 // (quantized key, via) priority word that lets a (key, via) lexicographic
 // min-reduce run as a single atomic_write_min instead of three
 // barrier-separated phases.
@@ -92,30 +92,15 @@ inline std::uint64_t double_order_bits(double x) {
   return std::bit_cast<std::uint64_t>(x);
 }
 
-/// True iff every double in [lo, hi) quantizes (as a ULP offset from lo)
-/// into < 2^40 values, i.e. the packed word can carry any key in the
-/// interval. `lo` and `hi` must be the exact (integer-valued, < 2^53)
-/// interval bounds — the callers derive them from integer bucket
-/// arithmetic, so no rounding slips a key below `lo`. This is the general
-/// form shared by every (key, via) / (dist, parent) round: est_cluster's
-/// unit-width rounds [t, t+1) and delta-stepping's width-delta buckets
-/// [b*delta, (b+1)*delta) both fit once lo/width >= 2^12 (spacing of
-/// doubles at lo is lo * 2^-52, so the interval holds ~2^52 * width / lo
-/// representable values).
-inline bool packed_interval_fits(double lo, double hi) {
-  if (!(lo >= 0) || !(hi > lo) || hi >= 9007199254740992.0 /* 2^53 */) {
-    return false;
-  }
-  return double_order_bits(hi) - double_order_bits(lo) <= kPackedKeyLimit;
-}
-
-/// The unit-width special case: every double in round `round_key`'s
-/// interval [t, t+1) fits, i.e. t >= 2^12. The t < 2^52 guard keeps
-/// double(t) exact and the interval well-formed.
+/// True iff every double in round `round_key`'s interval [t, t+1)
+/// quantizes (as a ULP offset from t) into < 2^40 values, i.e. the packed
+/// word can carry any key of the round: t >= 2^12 (spacing of doubles at
+/// t is t * 2^-52). The t < 2^52 guard keeps double(t) exact and the
+/// interval well-formed.
 inline bool packed_round_fits(std::uint64_t round_key) {
   if (round_key >= (std::uint64_t{1} << 52)) return false;
-  return packed_interval_fits(static_cast<double>(round_key),
-                              static_cast<double>(round_key) + 1.0);
+  const double lo = static_cast<double>(round_key);
+  return double_order_bits(lo + 1.0) - double_order_bits(lo) <= kPackedKeyLimit;
 }
 
 /// Pack (key, via) for a round whose base word is `base_bits` =
@@ -133,7 +118,7 @@ inline bool packed_round_fits(std::uint64_t round_key) {
 ///  * key order: for non-negative finite doubles, bit_cast<uint64> is
 ///    strictly monotone in the value, so qkey = bits(key) - base_bits
 ///    preserves real order exactly (injective: distinct keys in the
-///    round's interval get distinct qkeys, given packed_interval_fits);
+///    round's interval get distinct qkeys, given packed_round_fits);
 ///  * via minor: equal keys produce equal high bits, leaving integer
 ///    order of the low 24 bits = via order, with kNoVertex mapped to the
 ///    all-ones kPackedNoVia (ordered last, losing ties to any real via —

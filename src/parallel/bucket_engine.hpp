@@ -5,8 +5,8 @@
 // shape: items carry an integer "time" key, the least pending key is
 // processed as one synchronous round, and the round's expansion emits items
 // into the same or strictly later keys. EST clustering (proposals keyed by
-// floor(start + dist)), level-synchronous BFS (levels), delta-stepping
-// (distance buckets) and the Dial search of weighted BFS are all instances.
+// floor(start + dist)), level-synchronous BFS (levels) and the Dial search
+// of weighted BFS are all instances.
 // This engine owns that shape once so the consumers stay thin:
 //
 //  * a circular calendar of `span` open buckets (key modulo span), plus an

@@ -54,7 +54,7 @@ class RoundScheduler {
   [[nodiscard]] std::uint64_t sequential_rounds() const { return counts_.sequential; }
   [[nodiscard]] std::uint64_t team_rounds() const { return counts_.team; }
   /// Min-reduce rounds resolved by the packed word / the three-phase
-  /// fallback (est_cluster and delta-stepping).
+  /// fallback (est_cluster's proposal rounds).
   [[nodiscard]] std::uint64_t packed_rounds() const { return counts_.packed; }
   [[nodiscard]] std::uint64_t fallback_rounds() const { return counts_.fallback; }
   /// Rounds whose adjacency was decoded from the delta-varint compressed

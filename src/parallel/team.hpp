@@ -1,13 +1,13 @@
 // Persistent-team round execution.
 //
 // The round-synchronous drivers (est_cluster's proposal loop,
-// delta_stepping's bucket loop, level-synchronous BFS, hop-limited
-// Bellman-Ford) used to execute every per-round phase — priority-write
-// min-reduce, winner settlement, frontier expansion, staging flush — as its
-// own OpenMP `parallel for`. That is one fork + one join per phase, ~5 per
-// round, hundreds of rounds per run: at small round sizes the fork/join
-// overhead dominates and multi-threaded runs LOSE to one thread (the
-// `speedup_vs_1t < 1` rows in BENCH_est_cluster.json before this change).
+// level-synchronous BFS, hop-limited Bellman-Ford) used to execute every
+// per-round phase — priority-write min-reduce, winner settlement, frontier
+// expansion, staging flush — as its own OpenMP `parallel for`. That is one
+// fork + one join per phase, ~5 per round, hundreds of rounds per run: at
+// small round sizes the fork/join overhead dominates and multi-threaded
+// runs LOSE to one thread (the `speedup_vs_1t < 1` rows in
+// BENCH_est_cluster.json before this change).
 //
 // Team replaces that with ONE parallel region for the whole drain loop:
 //

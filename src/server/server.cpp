@@ -18,20 +18,22 @@ QueryServer::QueryServer(const Graph& g, const ApproxShortestPaths& engine,
                     : nullptr),
       admission_(cfg.admission, &metrics_, injector_.get()) {}
 
-QueryServer::QueryServer(DynamicApproxShortestPaths& dynamic, ServerConfig cfg)
-    : dynamic_(&dynamic),
-      n_(dynamic.num_vertices()),
+QueryServer::QueryServer(Durability& durable, ServerConfig cfg)
+    : durable_(&durable),
+      n_(durable.engine().num_vertices()),
       cfg_(cfg),
       injector_(cfg.enable_faults
                     ? std::make_unique<FaultInjector>(cfg.fault_seed, cfg.faults)
                     : nullptr),
       admission_(cfg.admission, &metrics_, injector_.get()) {
+  metrics_.recovered_updates.store(durable.recovery().replayed,
+                                   std::memory_order_relaxed);
   if (injector_ != nullptr) {
     // The swap site fires on the updating thread with the new snapshot
     // fully built but not yet published — a stall here is the widest
     // query-during-swap window the concurrency tests can ask for.
     FaultInjector* inj = injector_.get();
-    dynamic_->set_swap_hook([inj] {
+    durable_->engine().set_swap_hook([inj] {
       const FaultAction act = inj->next(FaultSite::kSwap);
       if (act.kind == FaultAction::Kind::kStall) {
         std::this_thread::sleep_for(std::chrono::microseconds(act.delay_us));
@@ -40,14 +42,13 @@ QueryServer::QueryServer(DynamicApproxShortestPaths& dynamic, ServerConfig cfg)
   }
 }
 
-QueryServer::QueryServer(Durability& durable, ServerConfig cfg)
-    : QueryServer(durable.engine(), std::move(cfg)) {
-  durable_ = &durable;
-  metrics_.recovered_updates.store(durable.recovery().replayed,
-                                   std::memory_order_relaxed);
+QueryServer::~QueryServer() {
+  stop();
+  // The hook captures this server's injector; the engine outlives us.
+  if (durable_ != nullptr && injector_ != nullptr) {
+    durable_->engine().set_swap_hook(nullptr);
+  }
 }
-
-QueryServer::~QueryServer() { stop(); }
 
 void QueryServer::start() {
   if (started_) return;
@@ -261,7 +262,7 @@ void QueryServer::handle_update_(Connection& conn,
 
   UpdateResponse resp;
   resp.id = req.id;
-  if (dynamic_ == nullptr) {
+  if (durable_ == nullptr) {
     // A static server has nothing to apply an update to; the frame is
     // well-formed, the deployment just doesn't support it.
     resp.status = StatusCode::kUnavailable;
@@ -280,41 +281,16 @@ void QueryServer::handle_update_(Connection& conn,
     if (!in_range) {
       resp.status = StatusCode::kOutOfRange;
       metrics_.bump(metrics_.updates_rejected);
-    } else if (durable_ != nullptr) {
-      // The durable path: the coordinator owns dedup, WAL-before-publish
-      // and checkpoints, and never throws. A duplicate replay is neither
-      // applied nor rejected — it bumps updates_deduped inside.
+    } else {
+      // The coordinator owns dedup, WAL-before-publish and checkpoints,
+      // and never throws. A duplicate replay is neither applied nor
+      // rejected — it bumps updates_deduped inside.
       durable_->handle_update(req, &resp, injector_.get(), &metrics_);
       if (resp.status == StatusCode::kOk) {
         if ((resp.flags & kUpdateFlagDuplicate) == 0) {
           metrics_.bump(metrics_.updates_applied);
         }
       } else {
-        metrics_.bump(metrics_.updates_rejected);
-      }
-    } else {
-      try {
-        GraphDelta delta;
-        delta.insert = std::move(req.insert);
-        delta.remove = std::move(req.remove);
-        const DynamicApproxShortestPaths::ApplyResult r = dynamic_->apply(delta);
-        resp.status = StatusCode::kOk;
-        resp.epoch = r.epoch;
-        resp.rebuild_ms = r.rebuild_ms;
-        resp.dirty_scales = static_cast<std::uint32_t>(r.hopset.dirty_scales);
-        resp.total_scales = static_cast<std::uint32_t>(r.hopset.total_scales);
-        resp.dirty_clusters = r.hopset.dirty_clusters;
-        resp.total_clusters = r.hopset.total_clusters;
-        resp.inserted = r.inserted;
-        resp.removed = r.removed;
-        resp.reweighted = r.reweighted;
-        resp.noops = r.noops;
-        if (r.hopset.full_rebuild) resp.flags |= kUpdateFlagFullRebuild;
-        metrics_.bump(metrics_.updates_applied);
-      } catch (const std::exception&) {
-        // Decode + range checks should have caught everything; anything
-        // else is the no-exceptions-across-the-boundary clause.
-        resp.status = StatusCode::kInternal;
         metrics_.bump(metrics_.updates_rejected);
       }
     }
@@ -336,8 +312,8 @@ void QueryServer::serve_request_(const PendingRequest& pr, std::size_t skip_scal
   std::shared_ptr<const DynamicApproxShortestPaths::Snapshot> snap;
   const ApproxShortestPaths* engine = engine_;
   vid n = n_;
-  if (dynamic_ != nullptr) {
-    snap = dynamic_->snapshot();
+  if (durable_ != nullptr) {
+    snap = durable_->engine().snapshot();
     engine = &snap->engine;
     n = snap->graph.num_vertices();
     resp.epoch = snap->epoch;
@@ -417,7 +393,7 @@ void QueryServer::serve_request_(const PendingRequest& pr, std::size_t skip_scal
   if (any_partial) resp.flags |= kRespFlagPartial;
   if (any_degraded) resp.flags |= kRespFlagDegraded;
   metrics_.bump(metrics_.batches_served);
-  if (dynamic_ != nullptr && dynamic_->note_batch_served(snap->epoch)) {
+  if (durable_ != nullptr && durable_->engine().note_batch_served(snap->epoch)) {
     metrics_.bump(metrics_.stale_batches);
   }
 

@@ -70,19 +70,16 @@ class QueryServer {
   /// kUpdateRequest frames answer kUnavailable.
   QueryServer(const Graph& g, const ApproxShortestPaths& engine, ServerConfig cfg);
 
-  /// Serve a dynamic engine (must outlive the server). Update frames
-  /// apply on the connection's reader thread — they never occupy a query
-  /// worker, so queries are never shed by updates — and every query batch
-  /// pins one snapshot for its whole lifetime, so in-flight batches
-  /// finish on the pre-swap graph. With faults enabled, the injector's
-  /// kSwap site is wired to the engine's swap hook.
-  QueryServer(DynamicApproxShortestPaths& dynamic, ServerConfig cfg);
-
-  /// Serve a durable dynamic engine (must outlive the server). Every
+  /// Serve a durable dynamic engine (must outlive the server). Update
+  /// frames apply on the connection's reader thread — they never occupy a
+  /// query worker, so queries are never shed by updates — and every
   /// accepted update goes through the Durability coordinator: exactly-once
   /// dedup on (client_id, sequence), WAL append inside the pre-publish
-  /// seam, threshold checkpoints. Identical to the dynamic ctor otherwise;
-  /// recovered_updates in stats() reports what startup replay re-applied.
+  /// seam, threshold checkpoints. Every query batch pins one snapshot for
+  /// its whole lifetime, so in-flight batches finish on the pre-swap
+  /// graph. With faults enabled, the injector's kSwap site is wired to the
+  /// engine's swap hook until the server is destroyed. recovered_updates
+  /// in stats() reports what startup replay re-applied.
   QueryServer(Durability& durable, ServerConfig cfg);
   ~QueryServer();
   QueryServer(const QueryServer&) = delete;
@@ -140,12 +137,12 @@ class QueryServer {
   [[nodiscard]] std::shared_ptr<Connection> find_connection_(std::uint64_t id);
 
   /// Exactly one of these is set. The static path reads `engine_`
-  /// directly; the dynamic path takes one snapshot per query batch (the
-  /// snapshot-lifetime rule: a batch's answers all come from the epoch it
-  /// pinned, whose storage the shared_ptr keeps alive through any swap).
+  /// directly; the durable path takes one snapshot of its engine per
+  /// query batch (the snapshot-lifetime rule: a batch's answers all come
+  /// from the epoch it pinned, whose storage the shared_ptr keeps alive
+  /// through any swap).
   const ApproxShortestPaths* engine_ = nullptr;
-  DynamicApproxShortestPaths* dynamic_ = nullptr;
-  Durability* durable_ = nullptr;  ///< set iff the durable ctor was used
+  Durability* durable_ = nullptr;
   vid n_;
   ServerConfig cfg_;
   ServerMetrics metrics_;

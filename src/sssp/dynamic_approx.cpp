@@ -105,11 +105,6 @@ DynamicApproxShortestPaths::ApplyResult DynamicApproxShortestPaths::apply(
     snap_ = snap;
   }
   published_epoch_.store(snap->epoch, std::memory_order_relaxed);
-  rebuilds_.fetch_add(1, std::memory_order_relaxed);
-  if (res.hopset.full_rebuild) {
-    full_rebuilds_.fetch_add(1, std::memory_order_relaxed);
-  }
-  last_rebuild_ms_.store(res.rebuild_ms, std::memory_order_relaxed);
   rebuild_in_progress_.store(false, std::memory_order_relaxed);
   return res;
 }

@@ -114,15 +114,6 @@ class DynamicApproxShortestPaths {
   [[nodiscard]] bool rebuild_in_progress() const {
     return rebuild_in_progress_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::uint64_t rebuilds() const {
-    return rebuilds_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t full_rebuilds() const {
-    return full_rebuilds_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] double last_rebuild_ms() const {
-    return last_rebuild_ms_.load(std::memory_order_relaxed);
-  }
 
   /// Staleness accounting: the server calls this once per served batch
   /// with the epoch the batch's snapshot carried. A batch is stale when a
@@ -155,7 +146,11 @@ class DynamicApproxShortestPaths {
   /// Invoked on the apply() thread after the new snapshot is fully built,
   /// immediately before it is published — the fault-injection seam at the
   /// swap boundary (the server wires the FaultInjector's swap site here).
-  void set_swap_hook(std::function<void()> hook) { swap_hook_ = std::move(hook); }
+  /// Serialized with apply(), so a hook is never replaced mid-call.
+  void set_swap_hook(std::function<void()> hook) {
+    std::lock_guard<std::mutex> lk(update_mu_);
+    swap_hook_ = std::move(hook);
+  }
 
   [[nodiscard]] vid num_vertices() const { return n_; }
   [[nodiscard]] const Params& params() const { return params_; }
@@ -177,17 +172,14 @@ class DynamicApproxShortestPaths {
   EstClusterWorkspace cluster_ws_;
   SsspWorkspacePool build_pool_;
 
-  std::function<void()> swap_hook_;
+  std::function<void()> swap_hook_;  ///< guarded by update_mu_
 
   std::atomic<std::uint64_t> update_seq_{0};
   std::atomic<std::uint64_t> published_epoch_{0};
   std::atomic<bool> rebuild_in_progress_{false};
   std::atomic<bool> force_full_{false};
-  std::atomic<std::uint64_t> rebuilds_{0};
-  std::atomic<std::uint64_t> full_rebuilds_{0};
   std::atomic<std::uint64_t> batches_served_{0};
   std::atomic<std::uint64_t> stale_batches_{0};
-  std::atomic<double> last_rebuild_ms_{0};
 };
 
 }  // namespace parsh

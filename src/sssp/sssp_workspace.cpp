@@ -2,27 +2,23 @@
 
 #include <algorithm>
 
-#include "parallel/atomics.hpp"
-
 namespace parsh {
 
 SsspWorkspace::SsspWorkspace()
     : frontier_engine_({.span = 256}),
-      proposal_engine_({.span = 256}),
       newly_local_(static_cast<std::size_t>(num_workers())),
       touched_local_(static_cast<std::size_t>(num_workers())),
       offset_(static_cast<std::size_t>(num_workers())) {}
 
 void SsspWorkspace::ensure_vertices_(vid n) {
-  // The worker count may have been raised since construction (the engines
-  // handle their own staging in reset()); the per-worker winner lists and
+  // The worker count may have been raised since construction (the engine
+  // handles its own staging in reset()); the per-worker winner lists and
   // scan scratch are indexed by worker_id() and must cover it too.
   const auto workers = static_cast<std::size_t>(num_workers());
   if (workers > newly_local_.size()) {
     newly_local_.resize(workers);
     touched_local_.resize(workers);
     offset_.resize(workers);
-    tally_ = WorkerCounter();
   }
   if (static_cast<std::size_t>(n) <= vertex_capacity_) return;
   ++grow_events_;
@@ -52,16 +48,12 @@ void SsspWorkspace::ensure_reduce_(vid n) {
   const std::size_t cap =
       std::max<std::size_t>({static_cast<std::size_t>(n), 2 * reduce_capacity_,
                              vertex_capacity_});
-  best_key_ = std::vector<std::atomic<weight_t>>(cap);
   best_via_ = std::vector<std::atomic<vid>>(cap);
-  best_packed_ = std::vector<std::atomic<std::uint64_t>>(cap);
-  // Invariant: the reduce scratch always reads "no proposal" outside a
-  // round (rounds reset the entries they touched), so runs never pay an
-  // O(n) scratch wipe.
+  // Invariant: the scratch always reads "no proposal" outside a round
+  // (rounds reset the entries they touched), so runs never pay an O(n)
+  // scratch wipe.
   parallel_for(0, cap, [&](std::size_t v) {
-    best_key_[v].store(kInfWeight, std::memory_order_relaxed);
     best_via_[v].store(kNoVertex, std::memory_order_relaxed);
-    best_packed_[v].store(kPackedInf, std::memory_order_relaxed);
   });
   reduce_capacity_ = cap;
 }

@@ -1,29 +1,26 @@
 // Reusable traversal workspace for the SSSP family.
 //
 // Every traversal driver in src/sssp/ — level-synchronous BFS, the Dial
-// search of weighted BFS, delta-stepping, hop-limited Bellman-Ford and the
-// Theorem 1.2 query engine's per-scale sweeps — shares one storage shape:
-// a bucketed frontier engine plus per-vertex (dist, parent) state. Before
-// this layer each call heap-allocated that state from scratch, which the
-// two hot call loops pay for repeatedly: ApproxShortestPaths runs one
-// sweep per distance scale per query, and the hopset build fans out one
-// weighted BFS per large-cluster center. SsspWorkspace owns the state
-// once, mirroring EstClusterWorkspace (PR 2) for the clustering side:
+// search of weighted BFS, hop-limited Bellman-Ford and the Theorem 1.2
+// query engine's per-scale sweeps — shares one storage shape: a bucketed
+// frontier engine plus per-vertex (dist, parent) state. Before this layer
+// each call heap-allocated that state from scratch, which the two hot call
+// loops pay for repeatedly: ApproxShortestPaths runs one sweep per
+// distance scale per query, and the hopset build fans out one weighted BFS
+// per large-cluster center. SsspWorkspace owns the state once, mirroring
+// EstClusterWorkspace for the clustering side:
 //
-//  * two bucket engines (a vid engine for BFS levels / Dial buckets, a
-//    proposal engine for delta-stepping's (v, via, dist) relaxations),
-//    reset-but-never-shrunk across calls;
+//  * one vid bucket engine (BFS levels / Dial buckets), reset-but-never-
+//    shrunk across calls;
 //  * per-vertex dist / parent / owner arrays with a touched-vertex list:
 //    the invariant "dist == kInfWeight except for vertices touched by the
 //    last run" is restored lazily at the next run's start, so a run that
 //    reaches few vertices (a distance-capped query sweep) costs O(touched)
 //    workspace maintenance, not O(n);
-//  * a generation-stamp array for the claim steps (BFS's per-level claim
-//    — membership first-writer-wins, parents by min-via argmin —
-//    delta-stepping's per-round settle dedup): stamps are monotone
+//  * a generation-stamp array for BFS's per-level claim (membership
+//    first-writer-wins, parents by min-via argmin): stamps are monotone
 //    across runs, so no run ever re-initializes them;
-//  * the (dist, parent) CRCW min-reduce scratch — three-phase atomics and
-//    the packed 64-bit word — exactly as the clustering workspace;
+//  * the per-vertex min-via scratch behind that parent argmin;
 //  * the round policy, the FrontierRelaxer and the per-round counters,
 //    inherited from RoundScheduler (parallel/round_scheduler.hpp), which
 //    EstClusterWorkspace shares.
@@ -50,19 +47,8 @@
 
 namespace parsh {
 
-/// A relaxation in flight: "v can be reached through via at distance
-/// dist". The payload of the workspace's proposal engine; popped buckets
-/// are resolved per vertex by lexicographic (dist, via) minimum, which is
-/// what makes the parent tree schedule-independent.
-struct SsspProposal {
-  vid v;
-  vid via;
-  weight_t dist;
-};
-
 struct BfsResult;
 struct MultiBfsResult;
-struct DeltaSteppingResult;
 struct WeightedBfsResult;
 struct MultiWeightedBfsResult;
 struct HopLimitedStats;
@@ -86,14 +72,13 @@ class SsspWorkspace : public RoundScheduler {
  public:
   SsspWorkspace();
 
-  /// Heap-allocation events inside the workspace so far: both engines'
-  /// counters plus the relaxer's prefix-scratch growth plus per-vertex
+  /// Heap-allocation events inside the workspace so far: the engine's
+  /// counter plus the relaxer's prefix-scratch growth plus per-vertex
   /// array growth plus scratch-buffer capacity growth. Cumulative across
   /// runs; a warm run that fits every buffer leaves this unchanged — the
   /// guarantee the query-server tests pin.
   [[nodiscard]] std::uint64_t alloc_events() const {
-    return frontier_engine_.alloc_events() + proposal_engine_.alloc_events() +
-           relax_alloc_events() + grow_events_ +
+    return frontier_engine_.alloc_events() + relax_alloc_events() + grow_events_ +
            scratch_allocs_.load(std::memory_order_relaxed);
   }
   /// Times the per-vertex arrays had to grow (once per high-water n).
@@ -105,10 +90,9 @@ class SsspWorkspace : public RoundScheduler {
     return dist_[v].load(std::memory_order_relaxed);
   }
   /// Tree parent settled by the last run (kNoVertex for sources and
-  /// unreached vertices). Meaningful after the drivers that settle
-  /// parents — weighted BFS and delta-stepping; a hop-limited sweep
-  /// settles distances only, and plain BFS writes parents straight into
-  /// its result.
+  /// unreached vertices). Meaningful after weighted BFS, the one traversal
+  /// that settles parents here; a hop-limited sweep settles distances
+  /// only, and plain BFS writes parents straight into its result.
   [[nodiscard]] vid parent_of(vid v) const {
     return dist_of(v) == kInfWeight ? kNoVertex : parent_[v];
   }
@@ -121,8 +105,6 @@ class SsspWorkspace : public RoundScheduler {
   friend BfsResult bfs(const Graph&, vid, vid, SsspWorkspace&);
   friend MultiBfsResult multi_bfs(const Graph&, const std::vector<vid>&, vid,
                                   SsspWorkspace&);
-  friend DeltaSteppingResult delta_stepping(const Graph&, vid, weight_t,
-                                            SsspWorkspace&);
   friend WeightedBfsResult weighted_bfs(const Graph&, vid, weight_t,
                                         SsspWorkspace&);
   friend MultiWeightedBfsResult multi_weighted_bfs(const Graph&,
@@ -138,39 +120,34 @@ class SsspWorkspace : public RoundScheduler {
   /// vertices; geometric headroom, never shrunk. Newly (re)built entries
   /// restore the dist-infinity and stamp-zero invariants.
   void ensure_vertices_(vid n);
-  /// Grow the (dist, parent) min-reduce scratch (three-phase atomics +
-  /// packed words); only delta-stepping pays for these.
+  /// Grow the per-vertex min-via scratch behind BFS's parent argmin; only
+  /// bfs / multi_bfs pay for it.
   void ensure_reduce_(vid n);
   /// Start a run over n vertices: grow arrays, restore the dist-infinity
   /// invariant for the previous run's touched vertices, clear the touched
   /// list. O(touched_prev) when nothing grows.
   void begin_run_(vid n);
   /// Fresh stamp, strictly larger than every stamp ever handed out by
-  /// this workspace (run claims and per-round settle claims share the
+  /// this workspace (run claims and per-level claims share the
   /// counter, so monotonicity is global).
   std::uint64_t next_stamp_() { return ++stamp_counter_; }
 
   BucketEngine<vid> frontier_engine_;            // BFS levels, Dial buckets
-  BucketEngine<SsspProposal> proposal_engine_;   // delta-stepping relaxations
   // Per-vertex state (sized to the high-water n; only [0, n) touched).
   std::vector<std::atomic<weight_t>> dist_;
   std::vector<vid> parent_;
   std::vector<vid> owner_;                       // multi-source claim owner
   std::vector<std::atomic<std::uint64_t>> stamp_;
-  std::vector<std::atomic<weight_t>> best_key_;             // three-phase scratch
-  std::vector<std::atomic<vid>> best_via_;                  // three-phase scratch
-  std::vector<std::atomic<std::uint64_t>> best_packed_;     // packed-word scratch
+  std::vector<std::atomic<vid>> best_via_;       // BFS parent argmin scratch
   // Per-run / per-round scratch independent of n.
   std::vector<vid> touched_;                     // vertices reached by last run
   std::vector<std::vector<vid>> newly_local_;    // per-worker settle winners
   std::vector<std::vector<vid>> touched_local_;  // per-worker first touches
   std::vector<vid> newly_;                       // concatenated winners
   std::vector<std::size_t> offset_;              // winner-concat scan
-  std::vector<SsspProposal> props_;              // popped proposal bucket
   std::vector<vid> frontier_;                    // popped vid bucket / BF frontier
   std::vector<vid> improved_;                    // BF winners, settled lists
   std::vector<weight_t> frontier_dist_;          // per-round frontier snapshot (BF)
-  WorkerCounter tally_;
   std::size_t vertex_capacity_ = 0;
   std::size_t reduce_capacity_ = 0;
   std::uint64_t stamp_counter_ = 0;

@@ -7,10 +7,10 @@
 // strict losers of the very min-reduce that resolves them — so every
 // driver's OUTPUT (distances, parents, clustering) is bit-identical across
 // forced push, forced pull, the organic hysteresis, and one thread vs a
-// real 4-wide team. Work-proxy counters (delta phases and
-// relaxations, est work) are direction-DEPENDENT by design (push pops
-// stale-only buckets pull never creates) and are deliberately not compared
-// across directions; rounds/levels are direction-independent and are.
+// real 4-wide team. Work-proxy counters (est work) are direction-DEPENDENT
+// by design (push pops stale-only buckets pull never creates) and are
+// deliberately not compared across directions; rounds/levels are
+// direction-independent and are.
 //
 // Suites here run under the TSan CI job (no *Warm* name) and the
 // PARSH_FORCE_PULL ctest lane; a RoundPolicy that names its direction
@@ -28,7 +28,6 @@
 #include "parallel/bucket_engine.hpp"
 #include "parallel/parallel_for.hpp"
 #include "sssp/bfs.hpp"
-#include "sssp/delta_stepping.hpp"
 #include "sssp/sssp_workspace.hpp"
 #include "thread_scope.hpp"
 
@@ -123,32 +122,6 @@ TEST_P(DirectionOptimizing, MultiBfsPushVsPullOwners) {
       EXPECT_EQ(pulled.dist, pushed.dist);
       EXPECT_EQ(pulled.owner, pushed.owner);
       EXPECT_EQ(pulled.rounds, pushed.rounds);
-    }
-  }
-}
-
-TEST_P(DirectionOptimizing, DeltaSteppingPushVsPullAcrossWidths) {
-  for (const auto& [name, base] : direction_graphs(GetParam())) {
-    SCOPED_TRACE(name);
-    const Graph g = with_uniform_weights(base, 1, 9, GetParam() + 17);
-    for (const weight_t delta : {0.0, 4.0}) {
-      SsspWorkspace push_ws;
-      push_ws.set_round_policy(kPush);
-      const auto pushed =
-          at_threads(1, [&] { return delta_stepping(g, 0, delta, push_ws); });
-      EXPECT_EQ(push_ws.pull_rounds(), 0u);
-      for (int width : {1, 4}) {
-        SsspWorkspace ws;
-        ws.set_round_policy(kPull);
-        const auto pulled =
-            at_width(width, [&] { return delta_stepping(g, 0, delta, ws); });
-        EXPECT_GT(ws.pull_rounds(), 0u) << name << " @" << width;
-        // Distances and the parent tree are the contract; phases and
-        // relaxations are direction-dependent work proxies (push pops
-        // stale-only buckets pull never creates) and are not compared.
-        EXPECT_EQ(pulled.dist, pushed.dist);
-        EXPECT_EQ(pulled.parent, pushed.parent);
-      }
     }
   }
 }

@@ -20,7 +20,6 @@
 #include "spanner/spanner.hpp"
 #include "graph/delta.hpp"
 #include "sssp/approx_query.hpp"
-#include "sssp/delta_stepping.hpp"
 #include "sssp/dynamic_approx.hpp"
 #include "sssp/hop_limited.hpp"
 #include "sssp/weighted_bfs.hpp"
@@ -110,47 +109,11 @@ TEST_P(DriverDeterminism, Hopset) {
 // --- SsspWorkspace; distances, parents and counters must be bit-identical
 // --- across thread counts and across the packed/three-phase seam).
 
-TEST_P(DriverDeterminism, DeltaStepping) {
-  // Large weights at delta = 1 push bucket indices past the 2^12 packed
-  // boundary, so this exercises the packed (dist, parent) rounds at both
-  // thread counts; the small-weight run stays on the three-phase path.
-  const Graph small = weighted();
-  const Graph large =
-      with_uniform_weights(unweighted(), 4096, 8192, GetParam() + 23);
-  for (const auto& [g, delta] :
-       {std::pair(&small, 0.0), std::pair(&small, 4.0), std::pair(&large, 1.0)}) {
-    const auto [one, many] =
-        one_and_many([&, g = g, delta = delta] { return delta_stepping(*g, 0, delta); });
-    EXPECT_EQ(one.dist, many.dist);
-    EXPECT_EQ(one.parent, many.parent);
-    EXPECT_EQ(one.phases, many.phases);
-    EXPECT_EQ(one.relaxations, many.relaxations);
-  }
-}
-
-TEST_P(DriverDeterminism, DeltaSteppingPackedVsThreePhaseAcrossThreads) {
-  const Graph g = with_uniform_weights(unweighted(), 4096, 8192, GetParam() + 29);
-  SsspWorkspace forced;
-  forced.set_round_policy({.reduce = RoundPolicy::Reduce::kThreePhase});
-  const auto baseline = delta_stepping(g, 0, 1.0, forced);
-  EXPECT_GT(forced.fallback_rounds(), 0u);
-  for (int threads : {1, 4}) {
-    SsspWorkspace ws;
-    const auto packed =
-        at_threads(threads, [&] { return delta_stepping(g, 0, 1.0, ws); });
-    EXPECT_GT(ws.packed_rounds(), 0u);
-    EXPECT_EQ(packed.dist, baseline.dist);
-    EXPECT_EQ(packed.parent, baseline.parent);
-    EXPECT_EQ(packed.phases, baseline.phases);
-    EXPECT_EQ(packed.relaxations, baseline.relaxations);
-  }
-}
-
 TEST_P(DriverDeterminism, SkewedFrontierDrivers) {
   // Hub-heavy inputs route every expansion through the degree-aware
   // stolen edge ranges (PR 4): the drivers that compose est_cluster and
-  // delta-stepping must stay bit-identical across thread counts when
-  // their rounds are dominated by a few huge-degree vertices.
+  // the hop-limited sweep must stay bit-identical across thread counts
+  // when their rounds are dominated by a few huge-degree vertices.
   const Graph hub = make_hubs(6000, 4, GetParam());
   const auto [sp1, sp4] =
       one_and_many([&] { return unweighted_spanner(hub, 3.0, GetParam()); });
@@ -159,12 +122,11 @@ TEST_P(DriverDeterminism, SkewedFrontierDrivers) {
   const Graph heavy = with_uniform_weights(
       ensure_connected(make_rmat_heavy(3000, 18000, GetParam() + 41)), 1, 9,
       GetParam() + 43);
-  const auto [ds1, ds4] =
-      one_and_many([&] { return delta_stepping(heavy, 0, 0.0); });
-  EXPECT_EQ(ds1.dist, ds4.dist);
-  EXPECT_EQ(ds1.parent, ds4.parent);
-  EXPECT_EQ(ds1.phases, ds4.phases);
-  EXPECT_EQ(ds1.relaxations, ds4.relaxations);
+  const auto [hl1, hl4] = one_and_many(
+      [&] { return hop_limited_sssp(heavy, 0, heavy.num_vertices()); });
+  EXPECT_EQ(hl1.dist, hl4.dist);
+  EXPECT_EQ(hl1.rounds, hl4.rounds);
+  EXPECT_EQ(hl1.relaxations, hl4.relaxations);
 }
 
 TEST_P(DriverDeterminism, WeightedBfs) {
@@ -269,33 +231,6 @@ TEST_P(TeamRounds, EstClusterSequentialVsParallelRounds) {
     EXPECT_EQ(forced.sequential_rounds(), 0u);
     EXPECT_GT(forced.team_rounds(), 0u);
     expect_same_clustering(out, baseline);
-  }
-}
-
-TEST_P(TeamRounds, DeltaSteppingAcrossAllSchedulingModes) {
-  const Graph g = straddling_weighted();
-  SsspWorkspace one_ws;
-  const auto baseline =
-      at_threads(1, [&] { return delta_stepping(g, 0, 4.0, one_ws); });
-  EXPECT_GT(one_ws.sequential_rounds(), 0u);
-  EXPECT_GT(one_ws.team_rounds(), 0u);
-  auto expect_same = [&](const DeltaSteppingResult& r) {
-    EXPECT_EQ(r.dist, baseline.dist);
-    EXPECT_EQ(r.parent, baseline.parent);
-    EXPECT_EQ(r.phases, baseline.phases);
-    EXPECT_EQ(r.relaxations, baseline.relaxations);
-  };
-  SsspWorkspace ws;
-  assert_on_nested_sequential(true);
-  expect_same(at_width(4, [&] { return delta_stepping(g, 0, 4.0, ws); }));
-  assert_on_nested_sequential(false);
-  EXPECT_EQ(ws.sequential_rounds(), one_ws.sequential_rounds());
-  EXPECT_EQ(ws.team_rounds(), one_ws.team_rounds());
-  for (int width : {1, 4}) {
-    SsspWorkspace par_ws;
-    par_ws.set_round_policy(kAllParallel);
-    expect_same(at_width(width, [&] { return delta_stepping(g, 0, 4.0, par_ws); }));
-    EXPECT_EQ(par_ws.sequential_rounds(), 0u);
   }
 }
 

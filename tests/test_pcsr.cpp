@@ -24,7 +24,7 @@
 #include "graph/pcsr.hpp"
 #include "parallel/parallel_for.hpp"
 #include "sssp/bfs.hpp"
-#include "sssp/delta_stepping.hpp"
+#include "sssp/hop_limited.hpp"
 #include "sssp/sssp_workspace.hpp"
 #include "thread_scope.hpp"
 
@@ -168,9 +168,9 @@ TEST(Pcsr, AlgorithmsBitIdenticalOnMmapStorage) {
   EXPECT_EQ(b1.dist, b2.dist);
   EXPECT_EQ(b1.parent, b2.parent);
 
-  const DeltaSteppingResult d1 = delta_stepping(g, 0);
-  const DeltaSteppingResult d2 = delta_stepping(loaded, 0);
-  EXPECT_EQ(d1.dist, d2.dist);
+  const HopLimitedResult h1 = hop_limited_sssp(g, 0, g.num_vertices());
+  const HopLimitedResult h2 = hop_limited_sssp(loaded, 0, g.num_vertices());
+  EXPECT_EQ(h1.dist, h2.dist);
   std::remove(path.c_str());
 }
 
@@ -385,9 +385,17 @@ TEST(PcsrCompressed, SsspDriversBitIdenticalAtOneAndFourThreads) {
       EXPECT_EQ(wf.compressed_rounds(), 0u);
       EXPECT_GT(wc.compressed_rounds(), 0u);
 
-      const DeltaSteppingResult d1 = delta_stepping(flat, 0, 4.0, wf);
-      const DeltaSteppingResult d2 = delta_stepping(comp, 0, 4.0, wc);
-      EXPECT_EQ(d1.dist, d2.dist);
+      const std::uint64_t compressed_before = wc.compressed_rounds();
+      const HopLimitedStats h1 =
+          hop_limited_sssp(flat, 0, flat.num_vertices(), kInfWeight, wf);
+      const HopLimitedStats h2 =
+          hop_limited_sssp(comp, 0, comp.num_vertices(), kInfWeight, wc);
+      EXPECT_GT(wc.compressed_rounds(), compressed_before);
+      EXPECT_EQ(h1.rounds, h2.rounds);
+      EXPECT_EQ(h1.relaxations, h2.relaxations);
+      for (vid v = 0; v < flat.num_vertices(); ++v) {
+        EXPECT_EQ(wf.dist_of(v), wc.dist_of(v)) << v;
+      }
       return 0;
     });
   }

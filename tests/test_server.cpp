@@ -647,6 +647,25 @@ TEST(QueryServer, TcpClientsRecoverFromInjectedDrops) {
 }
 
 // ---- dynamic serving over the wire ------------------------------------------
+//
+// Updates are served only through the Durability coordinator; these open
+// it over a scratch directory with fsync off.
+
+std::string durable_dir(const std::string& name) {
+  const char* tmp = std::getenv("TMPDIR");
+  const std::string dir =
+      std::string(tmp && *tmp ? tmp : "/tmp") + "/parsh_server_" + name;
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  return dir;
+}
+
+DurabilityOptions durable_options(const std::string& dir) {
+  DurabilityOptions opt;
+  opt.dir = dir;
+  opt.wal.fsync = FsyncPolicy::kOff;
+  return opt;
+}
 
 DynamicApproxShortestPaths::Params dyn_params() {
   DynamicApproxShortestPaths::Params p;
@@ -661,8 +680,12 @@ Graph dyn_graph() {
 }
 
 TEST(DynamicServer, UpdatesSwapEpochsAndQueriesFollow) {
-  DynamicApproxShortestPaths dyn(dyn_graph(), dyn_params());
-  QueryServer server(dyn, quiet_config());
+  const std::string dir = durable_dir("swap_epochs");
+  std::unique_ptr<Durability> durable;
+  ASSERT_TRUE(Durability::open(dyn_graph(), dyn_params(), durable_options(dir),
+                               &durable)
+                  .ok());
+  QueryServer server(*durable, quiet_config());
   server.start();
   FdStream sfd, cfd;
   ASSERT_TRUE(make_socketpair(&sfd, &cfd).ok());
@@ -701,7 +724,7 @@ TEST(DynamicServer, UpdatesSwapEpochsAndQueriesFollow) {
 
   // The wire answer matches the engine's own current snapshot exactly.
   SsspWorkspace ws;
-  const auto snap = dyn.snapshot();
+  const auto snap = durable->engine().snapshot();
   EXPECT_DOUBLE_EQ(q1.answers[0].estimate, snap->engine.query(0, 77, ws).estimate);
 
   // Counters made it onto the stats wire.
@@ -713,11 +736,17 @@ TEST(DynamicServer, UpdatesSwapEpochsAndQueriesFollow) {
   client.close();
   server.stop();
   EXPECT_EQ(server.open_connections(), 0u);
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
 }
 
 TEST(DynamicServer, BadBatchesAnswerTypedAndApplyNothing) {
-  DynamicApproxShortestPaths dyn(dyn_graph(), dyn_params());
-  QueryServer server(dyn, quiet_config());
+  const std::string dir = durable_dir("bad_batches");
+  std::unique_ptr<Durability> durable;
+  ASSERT_TRUE(Durability::open(dyn_graph(), dyn_params(), durable_options(dir),
+                               &durable)
+                  .ok());
+  QueryServer server(*durable, quiet_config());
   server.start();
   FdStream sfd, cfd;
   ASSERT_TRUE(make_socketpair(&sfd, &cfd).ok());
@@ -731,7 +760,8 @@ TEST(DynamicServer, BadBatchesAnswerTypedAndApplyNothing) {
   UpdateResponse ur;
   ASSERT_TRUE(client.update({{0, 5, 2.0}, {3, 100, 1.0}}, {}, &ur).ok());
   EXPECT_EQ(ur.status, StatusCode::kOutOfRange);
-  EXPECT_EQ(dyn.epoch(), 0u);
+  EXPECT_EQ(durable->engine().epoch(), 0u);
+  EXPECT_EQ(durable->wal_records(), 0u);
 
   // The connection survives a rejected batch; a good one still applies.
   ASSERT_TRUE(client.update({{0, 5, 2.0}}, {}, &ur).ok());
@@ -745,6 +775,8 @@ TEST(DynamicServer, BadBatchesAnswerTypedAndApplyNothing) {
 
   client.close();
   server.stop();
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
 }
 
 TEST(DynamicServer, StaticServerAnswersUnavailable) {
@@ -772,13 +804,17 @@ TEST(DynamicServer, StaticServerAnswersUnavailable) {
 }
 
 TEST(DynamicServer, SwapFaultSiteStallsTheSwapNotTheQueries) {
-  DynamicApproxShortestPaths dyn(dyn_graph(), dyn_params());
+  const std::string dir = durable_dir("swap_fault");
+  std::unique_ptr<Durability> durable;
+  ASSERT_TRUE(Durability::open(dyn_graph(), dyn_params(), durable_options(dir),
+                               &durable)
+                  .ok());
   ServerConfig cfg = quiet_config();
   cfg.enable_faults = true;
   cfg.fault_seed = 77;
   cfg.faults.swap_stall = 1.0;  // every swap stalls
   cfg.faults.max_delay_us = 2000;
-  QueryServer server(dyn, cfg);
+  QueryServer server(*durable, cfg);
   server.start();
   FdStream sfd, cfd;
   ASSERT_TRUE(make_socketpair(&sfd, &cfd).ok());
@@ -800,25 +836,11 @@ TEST(DynamicServer, SwapFaultSiteStallsTheSwapNotTheQueries) {
 
   client.close();
   server.stop();
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
 }
 
 // ---- durable serving over the wire ------------------------------------------
-
-std::string durable_dir(const std::string& name) {
-  const char* tmp = std::getenv("TMPDIR");
-  const std::string dir =
-      std::string(tmp && *tmp ? tmp : "/tmp") + "/parsh_server_" + name;
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
-  return dir;
-}
-
-DurabilityOptions durable_options(const std::string& dir) {
-  DurabilityOptions opt;
-  opt.dir = dir;
-  opt.wal.fsync = FsyncPolicy::kOff;
-  return opt;
-}
 
 /// Send one update frame over a raw stream and read back its response
 /// (the wire-level path, no client retry machinery in the way).
@@ -1075,6 +1097,32 @@ TEST(DurableServer, PeerVanishingMidResponseDoesNotKillTheProcess) {
   client.close();
   server.stop();
   EXPECT_EQ(server.open_connections(), 0u);
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+}
+
+TEST(DurableServer, DestroyedFaultedServerLeavesNoSwapHookBehind) {
+  // A faulted server wires its injector's kSwap site into the engine's
+  // swap hook. The Durability (and its engine) outlives the server, so
+  // the destructor must take the hook back: an update applied after the
+  // server is gone would otherwise call into the freed injector.
+  const std::string dir = durable_dir("swap_hook");
+  std::unique_ptr<Durability> durable;
+  ASSERT_TRUE(Durability::open(dyn_graph(), dyn_params(), durable_options(dir),
+                               &durable)
+                  .ok());
+  {
+    ServerConfig cfg = quiet_config();
+    cfg.enable_faults = true;
+    cfg.fault_seed = 3;
+    cfg.faults.swap_stall = 1.0;
+    cfg.faults.max_delay_us = 100;
+    QueryServer server(*durable, cfg);
+    server.start();
+  }
+  GraphDelta delta;
+  delta.insert = {{0, 77, 1.0}};
+  EXPECT_EQ(durable->engine().apply(delta).epoch, 1u);
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
 }

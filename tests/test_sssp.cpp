@@ -1,6 +1,6 @@
 // Tests for the shortest-path substrate: BFS, weighted (Dial) BFS,
-// Dijkstra, hop-limited Bellman-Ford and delta-stepping, cross-checked
-// against each other over parameterized workloads.
+// Dijkstra and hop-limited Bellman-Ford, cross-checked against each other
+// over parameterized workloads.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +9,6 @@
 #include "graph/generators.hpp"
 #include "parallel/parallel_for.hpp"
 #include "sssp/bfs.hpp"
-#include "sssp/delta_stepping.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/hop_limited.hpp"
 #include "sssp/weighted_bfs.hpp"
@@ -78,17 +77,6 @@ TEST_P(SsspCross, WeightedBfsMatchesDijkstra) {
   const auto d = dijkstra(g, 0);
   const auto w = weighted_bfs(g, 0);
   for (vid v = 0; v < g.num_vertices(); ++v) EXPECT_EQ(w.dist[v], d.dist[v]) << v;
-}
-
-TEST_P(SsspCross, DeltaSteppingMatchesDijkstra) {
-  const Graph g = weighted_graph();
-  const auto d = dijkstra(g, 0);
-  for (weight_t delta : {1.0, 4.0, 30.0}) {
-    const auto ds = delta_stepping(g, 0, delta);
-    for (vid v = 0; v < g.num_vertices(); ++v) {
-      EXPECT_EQ(ds.dist[v], d.dist[v]) << "delta=" << delta << " v=" << v;
-    }
-  }
 }
 
 TEST_P(SsspCross, HopLimitedConvergesToDijkstra) {
@@ -191,21 +179,6 @@ TEST(HopLimited, SourceEqualsTargetIsZeroHops) {
   EXPECT_EQ(hops_to_approx(g, 2, 2, 0.0, 0.1, 10), 0u);
 }
 
-TEST(DeltaStepping, HeuristicDeltaAlsoExact) {
-  const Graph g = with_uniform_weights(ensure_connected(make_random_graph(200, 600, 8)),
-                                       1, 50, 88);
-  const auto d = dijkstra(g, 0);
-  const auto ds = delta_stepping(g, 0);  // delta = heuristic
-  for (vid v = 0; v < g.num_vertices(); ++v) EXPECT_EQ(ds.dist[v], d.dist[v]);
-}
-
-TEST(DeltaStepping, PhasesBoundedOnUnitPath) {
-  const Graph g = make_path(64);
-  const auto ds = delta_stepping(g, 0, 1.0);
-  EXPECT_EQ(ds.dist[63], 63);
-  EXPECT_LE(ds.phases, 200u);
-}
-
 /// parent[] must be a valid shortest-path tree: every reached non-source
 /// vertex has a parent edge whose relaxation is tight.
 void expect_valid_sssp_tree(const Graph& g, vid source,
@@ -227,17 +200,6 @@ void expect_valid_sssp_tree(const Graph& g, vid source,
   }
 }
 
-TEST(DeltaStepping, ParentsFormShortestPathTree) {
-  for (std::uint64_t seed : {3u, 4u}) {
-    const Graph g = with_uniform_weights(
-        ensure_connected(make_random_graph(300, 900, seed)), 1, 20, seed + 5);
-    for (weight_t delta : {0.0, 1.0, 8.0}) {
-      const auto ds = delta_stepping(g, 0, delta);
-      expect_valid_sssp_tree(g, 0, ds.dist, ds.parent);
-    }
-  }
-}
-
 TEST(WeightedBfs, ParentsFormShortestPathTree) {
   const Graph g = with_uniform_weights(
       ensure_connected(make_random_graph(300, 900, 6)), 1, 9, 11);
@@ -245,31 +207,9 @@ TEST(WeightedBfs, ParentsFormShortestPathTree) {
   expect_valid_sssp_tree(g, 0, r.dist, r.parent);
 }
 
-TEST(DeltaStepping, PackedRoundsMatchThreePhaseBitExactly) {
-  // Weights >= 4096 push bucket indices past the 2^12 packed boundary at
-  // delta = 1, so most rounds take the fused (dist, parent) write; the
-  // forced-three-phase run must produce byte-identical results.
-  const Graph g = with_uniform_weights(
-      ensure_connected(make_random_graph(400, 1600, 9)), 4096, 8192, 21);
-  SsspWorkspace packed_ws;
-  SsspWorkspace forced_ws;
-  forced_ws.set_round_policy({.reduce = RoundPolicy::Reduce::kThreePhase});
-  const auto a = delta_stepping(g, 0, 1.0, packed_ws);
-  const auto b = delta_stepping(g, 0, 1.0, forced_ws);
-  EXPECT_GT(packed_ws.packed_rounds(), 0u);
-  EXPECT_EQ(forced_ws.packed_rounds(), 0u);
-  EXPECT_GT(forced_ws.fallback_rounds(), 0u);
-  EXPECT_EQ(a.dist, b.dist);
-  EXPECT_EQ(a.parent, b.parent);
-  EXPECT_EQ(a.phases, b.phases);
-  EXPECT_EQ(a.relaxations, b.relaxations);
-  const auto d = dijkstra(g, 0);
-  EXPECT_EQ(a.dist, d.dist);
-}
-
 TEST(SsspWorkspace, WarmRepeatCallsDoZeroWorkspaceAllocations) {
   // One workspace across the whole SSSP family: the first pass warms the
-  // buffers, identical repeat calls must not allocate (engines, arrays or
+  // buffers, identical repeat calls must not allocate (engine, arrays or
   // scratch — alloc_events() covers all three). Pinned to one worker:
   // which worker's staging buffer a winner lands in is schedule-dependent
   // at higher thread counts, so the per-worker high-water marks — and
@@ -285,9 +225,8 @@ TEST(SsspWorkspace, WarmRepeatCallsDoZeroWorkspaceAllocations) {
     const auto b = bfs(g, 3, kNoVertex, ws);
     const auto m = multi_bfs(g, {1, 7}, kNoVertex, ws);
     const auto w = weighted_bfs(g, 2, kInfWeight, ws);
-    const auto ds = delta_stepping(g, 0, 4.0, ws);
     const auto h = hop_limited_sssp(g, 5, 64, kInfWeight, ws);
-    return std::tuple(b.dist, m.dist, w.dist, ds.dist, ds.parent, h.rounds);
+    return std::tuple(b.dist, m.dist, w.dist, w.parent, h.rounds);
   };
   const auto cold = run_family();
   const std::uint64_t after_cold = ws.alloc_events();

@@ -26,7 +26,6 @@
 #include "graph/generators.hpp"
 #include "parallel/parallel_for.hpp"
 #include "sssp/bfs.hpp"
-#include "sssp/delta_stepping.hpp"
 #include "sssp/sssp_workspace.hpp"
 #include "thread_scope.hpp"
 
@@ -102,35 +101,10 @@ TEST_P(WorkStealing, EstClusterEdgeGrainVsVertexGrainAcrossThreads) {
   }
 }
 
-TEST_P(WorkStealing, DeltaSteppingStolenPathAcrossThreads) {
-  for (const auto& [name, base] : skewed_graphs(GetParam())) {
-    SCOPED_TRACE(name);
-    const Graph g = with_uniform_weights(base, 1, 9, GetParam() + 17);
-    for (const weight_t delta : {0.0, 4.0}) {
-      SsspWorkspace vertex_ws;
-      vertex_ws.set_round_policy({.rounds = RoundPolicy::Rounds::kVertexGrain});
-      const auto baseline =
-          at_threads(1, [&] { return delta_stepping(g, 0, delta, vertex_ws); });
-      EXPECT_EQ(vertex_ws.edge_grain_rounds(), 0u);
-      for (int threads : {1, 4}) {
-        SsspWorkspace ws;
-        ws.set_round_policy({.direction = RoundPolicy::Direction::kPush});
-        const auto stolen =
-            at_threads(threads, [&] { return delta_stepping(g, 0, delta, ws); });
-        EXPECT_GT(ws.edge_grain_rounds(), 0u) << name << " @" << threads;
-        EXPECT_EQ(stolen.dist, baseline.dist);
-        EXPECT_EQ(stolen.parent, baseline.parent);
-        EXPECT_EQ(stolen.phases, baseline.phases);
-        EXPECT_EQ(stolen.relaxations, baseline.relaxations);
-      }
-    }
-  }
-}
-
 TEST_P(WorkStealing, BfsDistancesStolenPathAcrossThreads) {
   // BFS distances AND parents are deterministic: parents are the
-  // per-level min-via argmin (same contract as delta-stepping), so the
-  // whole tree must survive the stolen path and any thread count.
+  // per-level min-via argmin, so the whole tree must survive the stolen
+  // path and any thread count.
   for (const auto& [name, g] : skewed_graphs(GetParam())) {
     SCOPED_TRACE(name);
     SsspWorkspace vertex_ws;
@@ -156,7 +130,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, WorkStealing, ::testing::Values<std::uint64_t>(1
 // --- job by the *Warm* filter: allocation-count regression, not a race
 // --- check, and too slow under instrumentation).
 
-// Both pinned to one worker, like every identical-rerun Warm test: at >1
+// Pinned to one worker, like every identical-rerun Warm test: at >1
 // workers OpenMP's dynamic scheduling jitters which worker stages which
 // edge, so per-worker staging high-waters can shift a little between
 // identical runs. The relaxer's prefix scratch itself is sized by the
@@ -176,21 +150,6 @@ TEST(WorkStealingWarm, HubHeavyRmatReusesRelaxScratch) {
     est_cluster(g, 0.4, 7, ws);  // warm: every buffer fits its high water
     EXPECT_EQ(ws.engine_alloc_events(), engine_high);
     EXPECT_EQ(ws.relax_alloc_events(), relax_high);
-    return 0;
-  });
-}
-
-TEST(WorkStealingWarm, DeltaSteppingHubHeavyRmatReusesWorkspace) {
-  const Graph g = with_uniform_weights(
-      ensure_connected(make_rmat_heavy(60000, 360000, 11)), 1, 9, 13);
-  at_threads(1, [&] {
-    SsspWorkspace ws;
-    ws.set_round_policy({.direction = RoundPolicy::Direction::kPush});
-    delta_stepping(g, 0, 4.0, ws);  // cold
-    EXPECT_GT(ws.edge_grain_rounds(), 0u);
-    const std::uint64_t high = ws.alloc_events();
-    delta_stepping(g, 0, 4.0, ws);  // warm: zero workspace allocations
-    EXPECT_EQ(ws.alloc_events(), high);
     return 0;
   });
 }
