@@ -1,6 +1,6 @@
 // PRIM — google-benchmark microbenches for the substrate primitives the
-// paper's work/depth accounting charges: scan, pack, sort, BFS, weighted
-// BFS, EST clustering throughput.
+// paper's work/depth accounting charges: scan, pack, sort, weighted BFS,
+// EST clustering throughput.
 #include <benchmark/benchmark.h>
 
 #include "core/parsh.hpp"
@@ -53,16 +53,6 @@ void BM_CsrBuild(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(edges.size()) * state.iterations());
 }
 BENCHMARK(BM_CsrBuild)->Arg(1 << 12)->Arg(1 << 15);
-
-void BM_Bfs(benchmark::State& state) {
-  const auto n = static_cast<vid>(state.range(0));
-  const Graph g = ensure_connected(make_random_graph(n, static_cast<eid>(n) * 8, 3));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bfs(g, 0));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(g.num_arcs()) * state.iterations());
-}
-BENCHMARK(BM_Bfs)->Arg(1 << 12)->Arg(1 << 15);
 
 void BM_WeightedBfs(benchmark::State& state) {
   const auto n = static_cast<vid>(state.range(0));

@@ -135,7 +135,6 @@ void EstClusterWorkspace::ensure_(vid n) {
   center_ = std::vector<std::atomic<vid>>(cap);
   best_key_ = std::vector<std::atomic<double>>(cap);
   best_via_ = std::vector<std::atomic<vid>>(cap);
-  best_packed_ = std::vector<std::atomic<std::uint64_t>>(cap);
   vertex_capacity_ = cap;
 }
 
@@ -174,13 +173,10 @@ Clustering est_cluster(const Graph& g, double beta, std::uint64_t seed,
   // Settled state: the claimed center per vertex (kNoVertex = open).
   std::vector<std::atomic<vid>>& center = ws.center_;
   // Per-round CRCW priority-write scratch: the minimum proposal key seen
-  // for v this round, and the smallest via among proposals at that key —
-  // either as the (best_key, best_via) pair of the three-phase reduce or
-  // as the single packed word of the fast path. Reset per round for the
-  // touched vertices only.
+  // for v this round, and the smallest via among proposals at that key.
+  // Reset per round for the touched vertices only.
   std::vector<std::atomic<double>>& best_key = ws.best_key_;
   std::vector<std::atomic<vid>>& best_via = ws.best_via_;
-  std::vector<std::atomic<std::uint64_t>>& best_packed = ws.best_packed_;
   parallel_for(0, n, [&](std::size_t v) {
     key[v] = kInfWeight;
     parent[v] = kNoVertex;
@@ -188,7 +184,6 @@ Clustering est_cluster(const Graph& g, double beta, std::uint64_t seed,
     center[v].store(kNoVertex, std::memory_order_relaxed);
     best_key[v].store(kInfWeight, std::memory_order_relaxed);
     best_via[v].store(kNoVertex, std::memory_order_relaxed);
-    best_packed[v].store(kPackedInf, std::memory_order_relaxed);
   });
 
   // Proposals live in the shared bucketed frontier engine; with integer
@@ -203,7 +198,7 @@ Clustering est_cluster(const Graph& g, double beta, std::uint64_t seed,
   // the per-slot demand profile nest across shrinking warm calls, which is
   // what lets them reuse every slot buffer without growing it. The offset
   // is bookkeeping only: bucket = floor(key) + cal_off, popped in the same
-  // order, with the true round recovered by subtraction.
+  // order.
   const std::uint64_t span = engine.span();
   const std::uint64_t cal_off =
       (span - static_cast<std::uint64_t>(delta_max) % span) % span;
@@ -222,11 +217,6 @@ Clustering est_cluster(const Graph& g, double beta, std::uint64_t seed,
   WorkerCounter& tally = ws.tally_;
   std::vector<std::vector<vid>>& newly_local = ws.newly_local_;
   std::vector<vid>& newly = ws.newly_;
-
-  // The packed fast path needs every via id representable in 24 bits
-  // (kPackedNoVia is reserved for kNoVertex).
-  const bool via_packs = !ws.three_phase() &&
-                         static_cast<std::uint64_t>(n) <= kPackedNoVia;
 
   vid assigned = 0;
   std::uint64_t rounds = 0;
@@ -279,101 +269,46 @@ Clustering est_cluster(const Graph& g, double beta, std::uint64_t seed,
   // total instead of ~5 per round); every phase below is a
   // barrier-separated Team stage.
   Team::drive([&](Team& team) {
-    std::uint64_t round_key;
-    while (assigned < n && (round_key = engine.pop_round(team, props)) != kNoBucket) {
-      round_key -= cal_off;  // back to the true time floor(key)
-      // Min-reduce proposals per vertex (the CRCW priority write). Keys
-      // are distinct reals with probability 1; ties break toward the
-      // smaller via-vertex, so the winner — and with it the whole
-      // clustering — is independent of thread count and schedule.
-      // Proposals for vertices settled in earlier rounds ride along dead;
-      // each phase skips them with one relaxed load.
-      //
-      // Two equivalent reduction strategies, chosen per round:
-      //  * packed fast path — the round's keys quantize order-exactly
-      //    into 40 bits (atomics.hpp), so (key, via) fuses into one
-      //    64-bit word and the reduce is a single atomic_write_min pass;
-      //  * three-phase fallback — min key, then min via at that key,
-      //    then settle, barrier-separated.
-      // Both compute the same argmin, so the output is bit-identical —
-      // and each has a sequential-round form performing the same passes
-      // with plain writes.
-      const bool packed = via_packs && packed_round_fits(round_key);
-      const std::uint64_t base_bits =
-          packed ? double_order_bits(static_cast<double>(round_key)) : 0;
+    while (assigned < n && engine.pop_round(team, props) != kNoBucket) {
+      // Min-reduce proposals per vertex (the CRCW priority write), in
+      // three barrier-separated phases: min key, then min via at that
+      // key, then settle. Keys are distinct reals with probability 1;
+      // ties break toward the smaller via-vertex, so the winner — and
+      // with it the whole clustering — is independent of thread count and
+      // schedule. Proposals for vertices settled in earlier rounds ride
+      // along dead; each phase skips them with one relaxed load. The
+      // sequential-round form performs the same passes with plain writes.
       const bool seq_round = props.size() <= seq_threshold;
       std::uint64_t live = 0;
       std::size_t settled_now = 0;
       if (seq_round) {
         newly.clear();
-        if (packed) {
-          for (const EstProposal& p : props) {
-            if (!alive(p)) continue;
-            ++live;
-            const std::uint64_t word = pack_key_via(p.key, base_bits, p.via);
-            if (word < best_packed[p.v].load(std::memory_order_relaxed)) {
-              best_packed[p.v].store(word, std::memory_order_relaxed);
-            }
-          }
-          if (live == 0) continue;  // a fully-stale bucket is not a round
-          ws.counts().add_reduce(/*sequential=*/true, /*packed=*/true);
-          for (const EstProposal& p : props) {
-            if (best_packed[p.v].load(std::memory_order_relaxed) ==
-                pack_key_via(p.key, base_bits, p.via)) {
-              settle_seq(p);
-            }
-          }
-          for (const EstProposal& p : props) {
-            best_packed[p.v].store(kPackedInf, std::memory_order_relaxed);
-          }
-        } else {
-          for (const EstProposal& p : props) {
-            if (!alive(p)) continue;
-            ++live;
-            if (p.key < best_key[p.v].load(std::memory_order_relaxed)) {
-              best_key[p.v].store(p.key, std::memory_order_relaxed);
-            }
-          }
-          if (live == 0) continue;  // a fully-stale bucket is not a round
-          ws.counts().add_reduce(/*sequential=*/true, /*packed=*/false);
-          for (const EstProposal& p : props) {
-            if (alive(p) &&
-                p.key == best_key[p.v].load(std::memory_order_relaxed) &&
-                p.via < best_via[p.v].load(std::memory_order_relaxed)) {
-              best_via[p.v].store(p.via, std::memory_order_relaxed);
-            }
-          }
-          for (const EstProposal& p : props) {
-            if (p.key == best_key[p.v].load(std::memory_order_relaxed) &&
-                p.via == best_via[p.v].load(std::memory_order_relaxed)) {
-              settle_seq(p);
-            }
-          }
-          for (const EstProposal& p : props) {
-            best_key[p.v].store(kInfWeight, std::memory_order_relaxed);
-            best_via[p.v].store(kNoVertex, std::memory_order_relaxed);
+        for (const EstProposal& p : props) {
+          if (!alive(p)) continue;
+          ++live;
+          if (p.key < best_key[p.v].load(std::memory_order_relaxed)) {
+            best_key[p.v].store(p.key, std::memory_order_relaxed);
           }
         }
-      } else if (packed) {
-        team.loop(0, props.size(), kStageGrain, [&](std::size_t i) {
-          const EstProposal& p = props[i];
-          if (!alive(p)) return;
-          tally.add(1);
-          atomic_write_min(&best_packed[p.v], pack_key_via(p.key, base_bits, p.via));
-        });
-        live = tally.drain();
         if (live == 0) continue;  // a fully-stale bucket is not a round
-        ws.counts().add_reduce(/*sequential=*/false, /*packed=*/true);
-        team.loop(0, props.size(), kStageGrain, [&](std::size_t i) {
-          const EstProposal& p = props[i];
-          if (best_packed[p.v].load(std::memory_order_relaxed) ==
-              pack_key_via(p.key, base_bits, p.via)) {
-            settle(p);
+        ws.counts().add_round(/*on_sequential=*/true);
+        for (const EstProposal& p : props) {
+          if (alive(p) &&
+              p.key == best_key[p.v].load(std::memory_order_relaxed) &&
+              p.via < best_via[p.v].load(std::memory_order_relaxed)) {
+            best_via[p.v].store(p.via, std::memory_order_relaxed);
           }
-        });
-        team.loop(0, props.size(), kStageGrain, [&](std::size_t i) {
-          best_packed[props[i].v].store(kPackedInf, std::memory_order_relaxed);
-        });
+        }
+        for (const EstProposal& p : props) {
+          if (p.key == best_key[p.v].load(std::memory_order_relaxed) &&
+              p.via == best_via[p.v].load(std::memory_order_relaxed)) {
+            settle_seq(p);
+          }
+        }
+        for (const EstProposal& p : props) {
+          best_key[p.v].store(kInfWeight, std::memory_order_relaxed);
+          best_via[p.v].store(kNoVertex, std::memory_order_relaxed);
+        }
       } else {
         team.loop(0, props.size(), kStageGrain, [&](std::size_t i) {
           const EstProposal& p = props[i];
@@ -383,7 +318,7 @@ Clustering est_cluster(const Graph& g, double beta, std::uint64_t seed,
         });
         live = tally.drain();
         if (live == 0) continue;  // a fully-stale bucket is not a round
-        ws.counts().add_reduce(/*sequential=*/false, /*packed=*/false);
+        ws.counts().add_round(/*on_sequential=*/false);
         team.loop(0, props.size(), kStageGrain, [&](std::size_t i) {
           const EstProposal& p = props[i];
           if (alive(p) && p.key == best_key[p.v].load(std::memory_order_relaxed)) {

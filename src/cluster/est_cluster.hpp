@@ -82,12 +82,7 @@ Clustering est_cluster(const Graph& g, double beta, std::uint64_t seed);
 /// spanner levels, the hopset recursion — pass one workspace across calls
 /// so warm calls on graphs no larger than already seen do zero engine heap
 /// allocations (for runs whose key spread fits the calendar span, as all
-/// the drivers' do; overflow-store map nodes are per-run). This overload
-/// also enables the packed-word fast path: when
-/// a round's key range quantizes into 40 bits (see atomics.hpp), the
-/// three-phase (key, via) min-reduce collapses into a single
-/// atomic_write_min on a packed 64-bit word, bit-identical to the
-/// three-phase result at every thread count.
+/// the drivers' do; overflow-store map nodes are per-run).
 Clustering est_cluster(const Graph& g, double beta, std::uint64_t seed,
                        EstClusterWorkspace& ws);
 
@@ -126,9 +121,8 @@ class EstClusterWorkspace : public RoundScheduler {
   std::vector<weight_t> hops_;    // settled tree distance
   std::vector<vid> center_of_;    // final center per vertex (densify input)
   std::vector<std::atomic<vid>> center_;      // claimed center (kNoVertex = open)
-  std::vector<std::atomic<double>> best_key_;             // three-phase scratch
-  std::vector<std::atomic<vid>> best_via_;                // three-phase scratch
-  std::vector<std::atomic<std::uint64_t>> best_packed_;   // packed-word scratch
+  std::vector<std::atomic<double>> best_key_;  // min-reduce scratch: min key
+  std::vector<std::atomic<vid>> best_via_;     // min-reduce scratch: min via
   // Per-round scratch independent of n.
   std::vector<EstProposal> props_;            // the popped bucket
   std::vector<std::vector<vid>> newly_local_; // per-worker winner lists

@@ -13,8 +13,8 @@
 //   ApproxShortestPaths    — Theorem 1.2 ((1+eps) s-t query engine)
 //   DynamicApproxShortestPaths — batched edge updates, epoch-swapped
 //                            incremental re-serving over apply_delta
-// plus the substrates: CSR graphs, generators, parallel primitives, BFS /
-// weighted BFS / Dijkstra / hop-limited search.
+// plus the substrates: CSR graphs, generators, parallel primitives,
+// weighted (Dial) BFS / Dijkstra / hop-limited search.
 #pragma once
 
 #include "cluster/cluster_connectivity.hpp"
@@ -50,7 +50,6 @@
 #include "spanner/spanner.hpp"
 #include "spanner/verify.hpp"
 #include "sssp/approx_query.hpp"
-#include "sssp/bfs.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/dynamic_approx.hpp"
 #include "sssp/hop_limited.hpp"

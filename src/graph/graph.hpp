@@ -135,9 +135,10 @@ class Graph {
 
   /// Scan vertex u's full adjacency in order until `fn(arc id, target)`
   /// returns true; returns the number of arcs examined (including the
-  /// stopping one). The early exit is what the BFS pull path relies on:
-  /// the first in-frontier neighbor of a sorted list is the argmin via.
-  /// On compressed adjacency, chunks past the stop are never decoded.
+  /// stopping one). The early exit serves point lookups on the sorted
+  /// list (an arc's weight or id, the symmetry check): they stop once the
+  /// targets pass the one sought. On compressed adjacency, chunks past
+  /// the stop are never decoded.
   template <typename Prefetch, typename Fn>
   std::size_t scan_arcs(vid u, Prefetch&& prefetch, Fn&& fn) const {
     const eid base = begin(u);

@@ -5,8 +5,8 @@
 // shape: items carry an integer "time" key, the least pending key is
 // processed as one synchronous round, and the round's expansion emits items
 // into the same or strictly later keys. EST clustering (proposals keyed by
-// floor(start + dist)), level-synchronous BFS (levels) and the Dial search
-// of weighted BFS are all instances.
+// floor(start + dist)) and the Dial search of weighted BFS are both
+// instances.
 // This engine owns that shape once so the consumers stay thin:
 //
 //  * a circular calendar of `span` open buckets (key modulo span), plus an
@@ -17,10 +17,10 @@
 //    emit with plain push_backs instead of locks (push_from_worker); the
 //    buffers are compacted into the calendar with an exclusive-scan concat
 //    at round boundaries (flush), never a serial per-item append race;
-//  * one pop_round == one synchronous round, counted for the work/depth
-//    instrumentation story; flush/min_key/pop_round take an optional
-//    TeamLike so their internal parallel move runs as a stage of the
-//    caller's persistent team (parallel/team.hpp) instead of a fork-join;
+//  * one pop_round == one synchronous round; flush/pop_round take an
+//    optional TeamLike so their internal parallel move runs as a stage of
+//    the caller's persistent team (parallel/team.hpp) instead of a
+//    fork-join;
 //  * a degree-aware FrontierRelaxer that schedules one round's edge
 //    relaxations adaptively: bounded EDGE ranges dynamically claimed by
 //    the team's workers (a skewed frontier — one hub vertex carrying most
@@ -61,7 +61,7 @@
 
 namespace parsh {
 
-/// Sentinel returned by min_key / pop_round when the engine is drained.
+/// Sentinel returned by pop_round when the engine is drained.
 inline constexpr std::uint64_t kNoBucket = ~std::uint64_t{0};
 
 namespace detail {
@@ -150,7 +150,7 @@ class BucketEngine {
   void push(std::uint64_t key, Item item) { place_(key, std::move(item)); }
 
   /// Push from inside a parallel expansion: lands in the calling worker's
-  /// staging buffer; visible after the next flush()/min_key()/pop_round().
+  /// staging buffer; visible after the next flush()/pop_round().
   void push_from_worker(std::uint64_t key, Item item) {
     std::vector<Staged>& buf = staging_[static_cast<std::size_t>(worker_id())];
     if (buf.size() == buf.capacity()) note_alloc_();
@@ -214,20 +214,6 @@ class BucketEngine {
     });
   }
 
-  /// Key of the least pending bucket (staged pushes included), or
-  /// kNoBucket when the engine is fully drained.
-  std::uint64_t min_key() {
-    flush();
-    return min_key_flushed_();
-  }
-
-  /// min_key() with the staging flush staged on `team`.
-  template <typename TeamLike>
-  std::uint64_t min_key(TeamLike& team) {
-    flush(team);
-    return min_key_flushed_();
-  }
-
   /// Pop the least pending bucket into `out` (replacing its contents);
   /// returns the bucket's key, or kNoBucket when drained. One pop is one
   /// synchronous round.
@@ -242,9 +228,6 @@ class BucketEngine {
     flush(team);
     return pop_flushed_(out);
   }
-
-  /// Synchronous rounds popped so far.
-  [[nodiscard]] std::uint64_t rounds() const { return rounds_; }
 
   /// Open calendar slots (the configured span).
   [[nodiscard]] std::size_t span() const { return index_.span(); }
@@ -291,7 +274,8 @@ class BucketEngine {
     merge_scratch_.clear();
   }
 
-  /// min_key after the staging buffers were flushed.
+  /// Key of the least pending bucket (staging already flushed), or
+  /// kNoBucket when the engine is fully drained.
   std::uint64_t min_key_flushed_() {
     drain_overflow_into_window_();
     // After the drain every overflow key is >= base + span, i.e. beyond
@@ -319,7 +303,6 @@ class BucketEngine {
     std::move(slot.begin(), slot.end(), out.begin());
     slot.clear();
     index_.take(key);
-    ++rounds_;
     return key;
   }
 
@@ -388,7 +371,6 @@ class BucketEngine {
   std::vector<std::vector<Staged>> staging_;  // one buffer per worker
   std::vector<std::size_t> offset_scratch_;   // flush(): per-worker sizes/offsets
   std::vector<Staged> merge_scratch_;         // flush(): multi-producer concat
-  std::uint64_t rounds_ = 0;
   std::uint64_t pushed_ = 0;
   std::atomic<std::uint64_t> alloc_events_{0};
 };
@@ -399,12 +381,6 @@ class BucketEngine {
 /// another. Output is bit-identical under every policy (the determinism
 /// contract); only the work counters and the schedule move.
 struct RoundPolicy {
-  /// How a round's (key, via) min-reduce resolves.
-  enum class Reduce : std::uint8_t {
-    kAuto,        ///< packed 64-bit word when the round's keys fit, else
-                  ///< the three-phase reduce
-    kThreePhase,  ///< always the three-phase reduce
-  };
   /// How a round's work is spread over the team.
   enum class Rounds : std::uint8_t {
     kAdaptive,     ///< sequential fast path at or below
@@ -421,7 +397,6 @@ struct RoundPolicy {
     kPull,
   };
 
-  Reduce reduce = Reduce::kAuto;
   Rounds rounds = Rounds::kAdaptive;
   Direction direction = env_direction();
 
@@ -462,9 +437,8 @@ struct RoundPolicy {
 /// every *candidate* vertex scans its own (symmetric) adjacency for
 /// frontier neighbours, computing the winning proposal locally and
 /// emitting at most one item through the normal staging path — exactly
-/// the rounds where the frontier covers most of the graph, cutting both
-/// edge examinations (BFS stops at the first frontier hit) and proposal
-/// traffic (one emission per candidate instead of one per edge).
+/// the rounds where the frontier covers most of the graph, cutting
+/// proposal traffic (one emission per candidate instead of one per edge).
 /// Hysteresis (enter high, exit lower) keeps the direction from
 /// thrashing across consecutive similar-sized rounds; the decision
 /// depends only on the (deterministic) round totals, never the schedule.
@@ -535,8 +509,7 @@ class FrontierRelaxer {
     bool pull = false;
   };
 
-  /// The scheduling policy for every later relax(): its `rounds` and
-  /// `direction` fields (the reduce is the consumers' business).
+  /// The scheduling policy for every later relax().
   void set_policy(const RoundPolicy& policy) { policy_ = policy; }
   [[nodiscard]] const RoundPolicy& policy() const { return policy_; }
 

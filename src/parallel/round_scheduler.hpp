@@ -29,17 +29,10 @@ namespace parsh {
 struct RoundCounts {
   std::uint64_t sequential = 0;  // rounds on the sequential fast path
   std::uint64_t team = 0;        // rounds through the team stages
-  std::uint64_t packed = 0;      // min-reduces resolved by the packed word
-  std::uint64_t fallback = 0;    // min-reduces resolved by the three phases
   std::uint64_t compressed = 0;  // rounds decoded from compressed adjacency
 
-  /// One round (a reduce, or a relax-only round of BFS / Bellman-Ford).
+  /// One round (an est_cluster reduce, or a Bellman-Ford relax round).
   void add_round(bool on_sequential) { ++(on_sequential ? sequential : team); }
-  /// One resolved min-reduce round.
-  void add_reduce(bool on_sequential, bool via_packed) {
-    add_round(on_sequential);
-    ++(via_packed ? packed : fallback);
-  }
 };
 
 class RoundScheduler {
@@ -53,10 +46,6 @@ class RoundScheduler {
   /// sequential per search and counts toward neither.
   [[nodiscard]] std::uint64_t sequential_rounds() const { return counts_.sequential; }
   [[nodiscard]] std::uint64_t team_rounds() const { return counts_.team; }
-  /// Min-reduce rounds resolved by the packed word / the three-phase
-  /// fallback (est_cluster's proposal rounds).
-  [[nodiscard]] std::uint64_t packed_rounds() const { return counts_.packed; }
-  [[nodiscard]] std::uint64_t fallback_rounds() const { return counts_.fallback; }
   /// Rounds whose adjacency was decoded from the delta-varint compressed
   /// representation (zero on flat graphs): the observable for the
   /// compressed-vs-flat equivalence tests — outputs are bit-identical,
@@ -89,10 +78,6 @@ class RoundScheduler {
   // of the deriving workspaces.
   [[nodiscard]] FrontierRelaxer& relaxer() { return relaxer_; }
   [[nodiscard]] RoundCounts& counts() { return counts_; }
-  /// Use the three-phase reduce even when a round's keys fit the packed word.
-  [[nodiscard]] bool three_phase() const {
-    return relaxer_.policy().reduce == RoundPolicy::Reduce::kThreePhase;
-  }
 
  private:
   FrontierRelaxer relaxer_;

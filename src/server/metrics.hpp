@@ -12,58 +12,27 @@
 
 namespace parsh::server {
 
+/// One relaxed atomic per COUNTER entry of PARSH_SERVER_STATS
+/// (server/protocol.hpp), under the same name.
 struct ServerMetrics {
-  std::atomic<std::uint64_t> frames_received{0};
-  std::atomic<std::uint64_t> invalid_frames{0};
-  std::atomic<std::uint64_t> requests_admitted{0};
-  std::atomic<std::uint64_t> requests_shed{0};
-  std::atomic<std::uint64_t> queries_ok{0};
-  std::atomic<std::uint64_t> queries_deadline_exceeded{0};
-  std::atomic<std::uint64_t> queries_out_of_range{0};
-  std::atomic<std::uint64_t> queries_degraded{0};
-  std::atomic<std::uint64_t> batches_served{0};
-  std::atomic<std::uint64_t> connections_opened{0};
-  std::atomic<std::uint64_t> connections_closed{0};
-  std::atomic<std::uint64_t> pool_checkout_timeouts{0};
-  std::atomic<std::uint64_t> updates_applied{0};
-  std::atomic<std::uint64_t> updates_rejected{0};
-  std::atomic<std::uint64_t> stale_batches{0};
-  std::atomic<std::uint64_t> updates_deduped{0};
-  std::atomic<std::uint64_t> wal_records{0};
-  std::atomic<std::uint64_t> wal_fsyncs{0};
-  std::atomic<std::uint64_t> checkpoints_written{0};
-  std::atomic<std::uint64_t> wal_failures{0};
-  std::atomic<std::uint64_t> recovered_updates{0};
+#define PARSH_METRICS_COUNTER(name) std::atomic<std::uint64_t> name{0};
+#define PARSH_METRICS_NONE(name)
+  PARSH_SERVER_STATS(PARSH_METRICS_COUNTER, PARSH_METRICS_NONE)
+#undef PARSH_METRICS_COUNTER
+#undef PARSH_METRICS_NONE
 
   void bump(std::atomic<std::uint64_t>& c, std::uint64_t by = 1) {
     c.fetch_add(by, std::memory_order_relaxed);
   }
 
-  [[nodiscard]] StatsSnapshot snapshot(std::uint64_t faults_injected) const {
+  /// Every counter's current value, plus the injector's tally.
+  [[nodiscard]] StatsSnapshot snapshot(std::uint64_t injected) const {
     StatsSnapshot s;
-    s.frames_received = frames_received.load(std::memory_order_relaxed);
-    s.invalid_frames = invalid_frames.load(std::memory_order_relaxed);
-    s.requests_admitted = requests_admitted.load(std::memory_order_relaxed);
-    s.requests_shed = requests_shed.load(std::memory_order_relaxed);
-    s.queries_ok = queries_ok.load(std::memory_order_relaxed);
-    s.queries_deadline_exceeded =
-        queries_deadline_exceeded.load(std::memory_order_relaxed);
-    s.queries_out_of_range = queries_out_of_range.load(std::memory_order_relaxed);
-    s.queries_degraded = queries_degraded.load(std::memory_order_relaxed);
-    s.batches_served = batches_served.load(std::memory_order_relaxed);
-    s.connections_opened = connections_opened.load(std::memory_order_relaxed);
-    s.connections_closed = connections_closed.load(std::memory_order_relaxed);
-    s.faults_injected = faults_injected;
-    s.pool_checkout_timeouts = pool_checkout_timeouts.load(std::memory_order_relaxed);
-    s.updates_applied = updates_applied.load(std::memory_order_relaxed);
-    s.updates_rejected = updates_rejected.load(std::memory_order_relaxed);
-    s.stale_batches = stale_batches.load(std::memory_order_relaxed);
-    s.updates_deduped = updates_deduped.load(std::memory_order_relaxed);
-    s.wal_records = wal_records.load(std::memory_order_relaxed);
-    s.wal_fsyncs = wal_fsyncs.load(std::memory_order_relaxed);
-    s.checkpoints_written = checkpoints_written.load(std::memory_order_relaxed);
-    s.wal_failures = wal_failures.load(std::memory_order_relaxed);
-    s.recovered_updates = recovered_updates.load(std::memory_order_relaxed);
+#define PARSH_METRICS_LOAD(name) s.name = name.load(std::memory_order_relaxed);
+#define PARSH_METRICS_INJECTED(name) s.name = injected;
+    PARSH_SERVER_STATS(PARSH_METRICS_LOAD, PARSH_METRICS_INJECTED)
+#undef PARSH_METRICS_LOAD
+#undef PARSH_METRICS_INJECTED
     return s;
   }
 };

@@ -338,16 +338,9 @@ void encode_stats_request(std::vector<std::uint8_t>& out) {
 
 void encode_stats_response(std::vector<std::uint8_t>& out, const StatsSnapshot& s) {
   std::vector<std::uint8_t> payload;
-  const std::uint64_t fields[] = {
-      s.frames_received,    s.invalid_frames,  s.requests_admitted,
-      s.requests_shed,      s.queries_ok,      s.queries_deadline_exceeded,
-      s.queries_out_of_range, s.queries_degraded, s.batches_served,
-      s.connections_opened, s.connections_closed, s.faults_injected,
-      s.pool_checkout_timeouts, s.updates_applied, s.updates_rejected,
-      s.stale_batches,          s.updates_deduped, s.wal_records,
-      s.wal_fsyncs,             s.checkpoints_written, s.wal_failures,
-      s.recovered_updates,
-  };
+#define PARSH_STATS_VALUE(name) s.name,
+  const std::uint64_t fields[] = {PARSH_SERVER_STATS(PARSH_STATS_VALUE, PARSH_STATS_VALUE)};
+#undef PARSH_STATS_VALUE
   put_u32(payload, static_cast<std::uint32_t>(std::size(fields)));
   for (std::uint64_t f : fields) put_u64(payload, f);
   append_frame(out, FrameType::kStatsResponse, payload.data(), payload.size());
@@ -359,16 +352,9 @@ Status decode_stats_response(const std::vector<std::uint8_t>& payload,
   std::uint32_t count = 0;
   if (!r.u32(&count)) return malformed("stats: truncated");
   // Appended fields from a newer server decode as "what we know".
-  std::uint64_t* fields[] = {
-      &out->frames_received,    &out->invalid_frames,  &out->requests_admitted,
-      &out->requests_shed,      &out->queries_ok,      &out->queries_deadline_exceeded,
-      &out->queries_out_of_range, &out->queries_degraded, &out->batches_served,
-      &out->connections_opened, &out->connections_closed, &out->faults_injected,
-      &out->pool_checkout_timeouts, &out->updates_applied, &out->updates_rejected,
-      &out->stale_batches,      &out->updates_deduped, &out->wal_records,
-      &out->wal_fsyncs,         &out->checkpoints_written, &out->wal_failures,
-      &out->recovered_updates,
-  };
+#define PARSH_STATS_SLOT(name) &out->name,
+  std::uint64_t* fields[] = {PARSH_SERVER_STATS(PARSH_STATS_SLOT, PARSH_STATS_SLOT)};
+#undef PARSH_STATS_SLOT
   if (r.remaining() != static_cast<std::size_t>(count) * 8) {
     return malformed("stats: count disagrees with payload length");
   }

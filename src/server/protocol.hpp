@@ -166,32 +166,42 @@ struct UpdateResponse {
   std::uint64_t noops = 0;
 };
 
-/// Server counters snapshot carried by a kStatsResponse (field order is
-/// part of the wire format; append only).
+/// Every server counter, declared once, in wire order: field i of a
+/// kStatsResponse payload is entry i of this list, so the list is append
+/// only. COUNTER(name) is a tally ServerMetrics keeps
+/// (server/metrics.hpp); INJECTED(name) is read from the fault injector
+/// when the snapshot is taken. StatsSnapshot, ServerMetrics, its
+/// snapshot() and the stats encoder and decoder all expand this list.
+#define PARSH_SERVER_STATS(COUNTER, INJECTED)                                 \
+  COUNTER(frames_received)                                                    \
+  COUNTER(invalid_frames)                                                     \
+  COUNTER(requests_admitted)                                                  \
+  COUNTER(requests_shed)                                                      \
+  COUNTER(queries_ok)                                                         \
+  COUNTER(queries_deadline_exceeded)                                          \
+  COUNTER(queries_out_of_range)                                               \
+  COUNTER(queries_degraded)                                                   \
+  COUNTER(batches_served)                                                     \
+  COUNTER(connections_opened)                                                 \
+  COUNTER(connections_closed)                                                 \
+  INJECTED(faults_injected)                                                   \
+  COUNTER(pool_checkout_timeouts)                                             \
+  COUNTER(updates_applied)                                                    \
+  COUNTER(updates_rejected)                                                   \
+  COUNTER(stale_batches)                                                      \
+  /* v3 durability counters (appended; older clients ignore them). */         \
+  COUNTER(updates_deduped)     /* duplicates answered from the table */       \
+  COUNTER(wal_records)         /* records appended to the WAL */              \
+  COUNTER(wal_fsyncs)          /* fsyncs issued by the WAL policy */          \
+  COUNTER(checkpoints_written)                                                \
+  COUNTER(wal_failures)        /* failed appends/fsyncs, update unapplied */  \
+  COUNTER(recovered_updates)   /* WAL records replayed at startup */
+
+/// Server counters snapshot carried by a kStatsResponse.
 struct StatsSnapshot {
-  std::uint64_t frames_received = 0;
-  std::uint64_t invalid_frames = 0;
-  std::uint64_t requests_admitted = 0;
-  std::uint64_t requests_shed = 0;
-  std::uint64_t queries_ok = 0;
-  std::uint64_t queries_deadline_exceeded = 0;
-  std::uint64_t queries_out_of_range = 0;
-  std::uint64_t queries_degraded = 0;
-  std::uint64_t batches_served = 0;
-  std::uint64_t connections_opened = 0;
-  std::uint64_t connections_closed = 0;
-  std::uint64_t faults_injected = 0;
-  std::uint64_t pool_checkout_timeouts = 0;
-  std::uint64_t updates_applied = 0;
-  std::uint64_t updates_rejected = 0;
-  std::uint64_t stale_batches = 0;
-  // v3 durability counters (appended; older clients ignore them).
-  std::uint64_t updates_deduped = 0;    ///< duplicate sequences answered from the table
-  std::uint64_t wal_records = 0;        ///< records appended to the WAL
-  std::uint64_t wal_fsyncs = 0;         ///< fsyncs issued by the WAL policy
-  std::uint64_t checkpoints_written = 0;
-  std::uint64_t wal_failures = 0;       ///< appends/fsyncs that failed (update not applied)
-  std::uint64_t recovered_updates = 0;  ///< WAL records replayed at startup
+#define PARSH_STATS_FIELD(name) std::uint64_t name = 0;
+  PARSH_SERVER_STATS(PARSH_STATS_FIELD, PARSH_STATS_FIELD)
+#undef PARSH_STATS_FIELD
 };
 
 // ---- encoding ---------------------------------------------------------------

@@ -27,35 +27,17 @@ void SsspWorkspace::ensure_vertices_(vid n) {
   const std::size_t cap = std::max<std::size_t>(n, 2 * vertex_capacity_);
   parent_.resize(cap);
   owner_.resize(cap);
-  // std::atomic is immovable, so the atomic arrays are reconstructed at
-  // the new size; the rebuild restores the invariants the runs rely on
-  // (dist all-infinite, stamps all below any handed-out stamp).
+  // std::atomic is immovable, so the dist array is reconstructed at the
+  // new size; the rebuild restores the all-infinite invariant the runs
+  // rely on.
   dist_ = std::vector<std::atomic<weight_t>>(cap);
-  stamp_ = std::vector<std::atomic<std::uint64_t>>(cap);
   parallel_for(0, cap, [&](std::size_t v) {
     dist_[v].store(kInfWeight, std::memory_order_relaxed);
-    stamp_[v].store(0, std::memory_order_relaxed);
   });
   // The previous touched list pointed into the discarded array; the fresh
   // one is already all-infinite.
   touched_.clear();
   vertex_capacity_ = cap;
-}
-
-void SsspWorkspace::ensure_reduce_(vid n) {
-  if (static_cast<std::size_t>(n) <= reduce_capacity_) return;
-  ++grow_events_;
-  const std::size_t cap =
-      std::max<std::size_t>({static_cast<std::size_t>(n), 2 * reduce_capacity_,
-                             vertex_capacity_});
-  best_via_ = std::vector<std::atomic<vid>>(cap);
-  // Invariant: the scratch always reads "no proposal" outside a round
-  // (rounds reset the entries they touched), so runs never pay an O(n)
-  // scratch wipe.
-  parallel_for(0, cap, [&](std::size_t v) {
-    best_via_[v].store(kNoVertex, std::memory_order_relaxed);
-  });
-  reduce_capacity_ = cap;
 }
 
 void SsspWorkspace::begin_run_(vid n) {

@@ -1,26 +1,22 @@
 // Reusable traversal workspace for the SSSP family.
 //
-// Every traversal driver in src/sssp/ — level-synchronous BFS, the Dial
-// search of weighted BFS, hop-limited Bellman-Ford and the Theorem 1.2
-// query engine's per-scale sweeps — shares one storage shape: a bucketed
-// frontier engine plus per-vertex (dist, parent) state. Before this layer
-// each call heap-allocated that state from scratch, which the two hot call
-// loops pay for repeatedly: ApproxShortestPaths runs one sweep per
-// distance scale per query, and the hopset build fans out one weighted BFS
-// per large-cluster center. SsspWorkspace owns the state once, mirroring
-// EstClusterWorkspace for the clustering side:
+// Every traversal driver in src/sssp/ — the Dial search of weighted BFS,
+// hop-limited Bellman-Ford and the Theorem 1.2 query engine's per-scale
+// sweeps — shares one storage shape: a bucketed frontier engine plus
+// per-vertex (dist, parent) state. Before this layer each call
+// heap-allocated that state from scratch, which the two hot call loops pay
+// for repeatedly: ApproxShortestPaths runs one sweep per distance scale per
+// query, and the hopset build fans out one weighted BFS per large-cluster
+// center. SsspWorkspace owns the state once, mirroring EstClusterWorkspace
+// for the clustering side:
 //
-//  * one vid bucket engine (BFS levels / Dial buckets), reset-but-never-
-//    shrunk across calls;
+//  * one vid bucket engine (Dial buckets), reset-but-never-shrunk across
+//    calls;
 //  * per-vertex dist / parent / owner arrays with a touched-vertex list:
 //    the invariant "dist == kInfWeight except for vertices touched by the
 //    last run" is restored lazily at the next run's start, so a run that
 //    reaches few vertices (a distance-capped query sweep) costs O(touched)
 //    workspace maintenance, not O(n);
-//  * a generation-stamp array for BFS's per-level claim (membership
-//    first-writer-wins, parents by min-via argmin): stamps are monotone
-//    across runs, so no run ever re-initializes them;
-//  * the per-vertex min-via scratch behind that parent argmin;
 //  * the round policy, the FrontierRelaxer and the per-round counters,
 //    inherited from RoundScheduler (parallel/round_scheduler.hpp), which
 //    EstClusterWorkspace shares.
@@ -47,8 +43,6 @@
 
 namespace parsh {
 
-struct BfsResult;
-struct MultiBfsResult;
 struct WeightedBfsResult;
 struct MultiWeightedBfsResult;
 struct HopLimitedStats;
@@ -92,7 +86,7 @@ class SsspWorkspace : public RoundScheduler {
   /// Tree parent settled by the last run (kNoVertex for sources and
   /// unreached vertices). Meaningful after weighted BFS, the one traversal
   /// that settles parents here; a hop-limited sweep settles distances
-  /// only, and plain BFS writes parents straight into its result.
+  /// only.
   [[nodiscard]] vid parent_of(vid v) const {
     return dist_of(v) == kInfWeight ? kNoVertex : parent_[v];
   }
@@ -102,9 +96,6 @@ class SsspWorkspace : public RoundScheduler {
   [[nodiscard]] const std::vector<vid>& touched() const { return touched_; }
 
  private:
-  friend BfsResult bfs(const Graph&, vid, vid, SsspWorkspace&);
-  friend MultiBfsResult multi_bfs(const Graph&, const std::vector<vid>&, vid,
-                                  SsspWorkspace&);
   friend WeightedBfsResult weighted_bfs(const Graph&, vid, weight_t,
                                         SsspWorkspace&);
   friend MultiWeightedBfsResult multi_weighted_bfs(const Graph&,
@@ -116,41 +107,29 @@ class SsspWorkspace : public RoundScheduler {
   friend std::uint64_t hops_to_approx(const Graph&, vid, vid, weight_t, double,
                                       std::uint64_t);
 
-  /// Grow the per-vertex base arrays (dist/parent/owner/stamp) to hold n
-  /// vertices; geometric headroom, never shrunk. Newly (re)built entries
-  /// restore the dist-infinity and stamp-zero invariants.
+  /// Grow the per-vertex arrays (dist/parent/owner) to hold n vertices;
+  /// geometric headroom, never shrunk. Newly (re)built entries restore the
+  /// dist-infinity invariant.
   void ensure_vertices_(vid n);
-  /// Grow the per-vertex min-via scratch behind BFS's parent argmin; only
-  /// bfs / multi_bfs pay for it.
-  void ensure_reduce_(vid n);
   /// Start a run over n vertices: grow arrays, restore the dist-infinity
   /// invariant for the previous run's touched vertices, clear the touched
   /// list. O(touched_prev) when nothing grows.
   void begin_run_(vid n);
-  /// Fresh stamp, strictly larger than every stamp ever handed out by
-  /// this workspace (run claims and per-level claims share the
-  /// counter, so monotonicity is global).
-  std::uint64_t next_stamp_() { return ++stamp_counter_; }
 
-  BucketEngine<vid> frontier_engine_;            // BFS levels, Dial buckets
+  BucketEngine<vid> frontier_engine_;            // Dial buckets
   // Per-vertex state (sized to the high-water n; only [0, n) touched).
   std::vector<std::atomic<weight_t>> dist_;
   std::vector<vid> parent_;
   std::vector<vid> owner_;                       // multi-source claim owner
-  std::vector<std::atomic<std::uint64_t>> stamp_;
-  std::vector<std::atomic<vid>> best_via_;       // BFS parent argmin scratch
   // Per-run / per-round scratch independent of n.
   std::vector<vid> touched_;                     // vertices reached by last run
-  std::vector<std::vector<vid>> newly_local_;    // per-worker settle winners
+  std::vector<std::vector<vid>> newly_local_;    // per-worker BF winners
   std::vector<std::vector<vid>> touched_local_;  // per-worker first touches
-  std::vector<vid> newly_;                       // concatenated winners
   std::vector<std::size_t> offset_;              // winner-concat scan
   std::vector<vid> frontier_;                    // popped vid bucket / BF frontier
   std::vector<vid> improved_;                    // BF winners, settled lists
   std::vector<weight_t> frontier_dist_;          // per-round frontier snapshot (BF)
   std::size_t vertex_capacity_ = 0;
-  std::size_t reduce_capacity_ = 0;
-  std::uint64_t stamp_counter_ = 0;
   std::uint64_t grow_events_ = 0;
   std::atomic<std::uint64_t> scratch_allocs_{0};
 };

@@ -14,8 +14,8 @@
 #include "graph/generators.hpp"
 #include "spanner/spanner.hpp"
 #include "spanner/verify.hpp"
-#include "sssp/bfs.hpp"
 #include "sssp/dijkstra.hpp"
+#include "sssp/weighted_bfs.hpp"
 
 namespace parsh {
 namespace {
@@ -60,19 +60,13 @@ TEST_P(TopologySweep, SpannerInvariantsHold) {
   EXPECT_LE(r.edges.size(), g.num_edges()) << which;
 }
 
-TEST_P(TopologySweep, BfsAgreesWithDijkstraOnUnitGraphs) {
+TEST_P(TopologySweep, WeightedBfsAgreesWithDijkstraOnUnitGraphs) {
   const auto [which, seed] = GetParam();
   const Graph g = topology(which, seed);
   if (g.weighted()) GTEST_SKIP() << "unit-weight check";
-  const auto b = bfs(g, 0);
+  const auto b = weighted_bfs(g, 0);
   const auto d = dijkstra(g, 0);
-  for (vid v = 0; v < g.num_vertices(); ++v) {
-    if (d.dist[v] == kInfWeight) {
-      EXPECT_EQ(b.dist[v], kUnreachedHops);
-    } else {
-      EXPECT_EQ(static_cast<weight_t>(b.dist[v]), d.dist[v]) << v;
-    }
-  }
+  EXPECT_EQ(b.dist, d.dist);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -107,13 +101,13 @@ TEST(TopologyEdgeCases, HypercubeSpannerKeepsLogDiameter) {
   const Graph g = make_hypercube(8);
   const SpannerResult r = unweighted_spanner(g, 2.0, 3);
   const Graph h = spanner_graph(g, r.edges);
-  const auto far = bfs(h, 0);
-  vid diameter = 0;
+  const auto far = weighted_bfs(h, 0);
+  weight_t diameter = 0;
   for (vid v = 0; v < h.num_vertices(); ++v) {
-    ASSERT_NE(far.dist[v], kUnreachedHops);
+    ASSERT_NE(far.dist[v], kInfWeight);
     diameter = std::max(diameter, far.dist[v]);
   }
-  EXPECT_LE(diameter, 8u * (6 * 2 + 1));
+  EXPECT_LE(diameter, 8.0 * (6 * 2 + 1));
 }
 
 TEST(TopologyEdgeCases, BarbellBridgeSurvivesEverySpanner) {

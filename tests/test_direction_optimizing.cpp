@@ -4,12 +4,12 @@
 // The FrontierRelaxer's contract: a pull (bitmap) round emits, per
 // candidate vertex, exactly the lexicographic minimum of the proposals the
 // push round would have emitted for it — the suppressed proposals are
-// strict losers of the very min-reduce that resolves them — so every
-// driver's OUTPUT (distances, parents, clustering) is bit-identical across
-// forced push, forced pull, the organic hysteresis, and one thread vs a
-// real 4-wide team. Work-proxy counters (est work) are direction-DEPENDENT
-// by design (push pops stale-only buckets pull never creates) and are
-// deliberately not compared across directions; rounds/levels are
+// strict losers of the very min-reduce that resolves them — so
+// est_cluster's OUTPUT (the clustering) is bit-identical across forced
+// push, forced pull, the organic hysteresis, and one thread vs a real
+// 4-wide team. Work-proxy counters (est work) are direction-DEPENDENT by
+// design (push pops stale-only buckets pull never creates) and are
+// deliberately not compared across directions; rounds are
 // direction-independent and are.
 //
 // Suites here run under the TSan CI job (no *Warm* name) and the
@@ -27,8 +27,6 @@
 #include "graph/generators.hpp"
 #include "parallel/bucket_engine.hpp"
 #include "parallel/parallel_for.hpp"
-#include "sssp/bfs.hpp"
-#include "sssp/sssp_workspace.hpp"
 #include "thread_scope.hpp"
 
 namespace parsh {
@@ -82,73 +80,26 @@ TEST_P(DirectionOptimizing, EstClusterPushVsPullAcrossWidths) {
   }
 }
 
-TEST_P(DirectionOptimizing, BfsPushVsPullAcrossWidths) {
-  // Parents included: the per-level min-via argmin must survive the
-  // direction flip bit-for-bit (the pull scan's early exit on the sorted
-  // adjacency IS that argmin).
-  for (const auto& [name, g] : direction_graphs(GetParam())) {
-    SCOPED_TRACE(name);
-    SsspWorkspace push_ws;
-    push_ws.set_round_policy(kPush);
-    const BfsResult pushed =
-        at_threads(1, [&] { return bfs(g, 0, kNoVertex, push_ws); });
-    EXPECT_EQ(push_ws.pull_rounds(), 0u);
-    for (int width : {1, 4}) {
-      SsspWorkspace ws;
-      ws.set_round_policy(kPull);
-      const BfsResult pulled = at_width(width, [&] { return bfs(g, 0, kNoVertex, ws); });
-      EXPECT_GT(ws.pull_rounds(), 0u) << name << " @" << width;
-      EXPECT_EQ(pulled.dist, pushed.dist);
-      EXPECT_EQ(pulled.parent, pushed.parent);
-      EXPECT_EQ(pulled.rounds, pushed.rounds);
-    }
-  }
-}
-
-TEST_P(DirectionOptimizing, MultiBfsPushVsPullOwners) {
-  for (const auto& [name, g] : direction_graphs(GetParam())) {
-    SCOPED_TRACE(name);
-    const std::vector<vid> sources = {0, 1, g.num_vertices() / 2};
-    SsspWorkspace push_ws;
-    push_ws.set_round_policy(kPush);
-    const MultiBfsResult pushed =
-        at_threads(1, [&] { return multi_bfs(g, sources, kNoVertex, push_ws); });
-    for (int width : {1, 4}) {
-      SsspWorkspace ws;
-      ws.set_round_policy(kPull);
-      const MultiBfsResult pulled =
-          at_width(width, [&] { return multi_bfs(g, sources, kNoVertex, ws); });
-      EXPECT_GT(ws.pull_rounds(), 0u) << name << " @" << width;
-      EXPECT_EQ(pulled.dist, pushed.dist);
-      EXPECT_EQ(pulled.owner, pushed.owner);
-      EXPECT_EQ(pulled.rounds, pushed.rounds);
-    }
-  }
-}
-
 TEST_P(DirectionOptimizing, OrganicHysteresisFlipsAndMatchesForcedRuns) {
   // Unforced runs on the random graph must trip the enter threshold
-  // organically (36k frontier edges on m/20 = 3.6k-edge bound), run some
-  // rounds in each direction, produce identical output to both forced
-  // runs, and make the SAME direction decisions at every thread count
-  // (the heuristic only reads round totals and m).
+  // organically, run some rounds in each direction, produce identical
+  // output to the forced push run, and make the SAME direction decisions
+  // at every thread count (the heuristic only reads round totals and m).
   const Graph g = ensure_connected(make_random_graph(6000, 36000, GetParam()));
-  SsspWorkspace push_ws;
+  EstClusterWorkspace push_ws;
   push_ws.set_round_policy(kPush);
-  const BfsResult pushed =
-      at_threads(1, [&] { return bfs(g, 0, kNoVertex, push_ws); });
+  const Clustering pushed =
+      at_threads(1, [&] { return est_cluster(g, 0.5, GetParam(), push_ws); });
   std::vector<std::uint64_t> pull_rounds_by_width;
   for (int width : {1, 4}) {
-    SsspWorkspace ws;
+    EstClusterWorkspace ws;
     // Naming the direction overrides a PARSH_FORCE_PULL env default.
     ws.set_round_policy({.direction = RoundPolicy::Direction::kAuto});
-    const BfsResult organic = at_width(width, [&] { return bfs(g, 0, kNoVertex, ws); });
+    const Clustering organic =
+        at_width(width, [&] { return est_cluster(g, 0.5, GetParam(), ws); });
     EXPECT_GT(ws.pull_rounds(), 0u) << "@" << width;
-    EXPECT_LT(ws.pull_rounds(), static_cast<std::uint64_t>(pushed.rounds))
-        << "@" << width;  // sparse head/tail stayed push
-    EXPECT_EQ(organic.dist, pushed.dist);
-    EXPECT_EQ(organic.parent, pushed.parent);
-    EXPECT_EQ(organic.rounds, pushed.rounds);
+    EXPECT_LT(ws.pull_rounds(), pushed.rounds) << "@" << width;  // sparse rounds stayed push
+    expect_same_clustering(organic, pushed);
     pull_rounds_by_width.push_back(ws.pull_rounds());
   }
   EXPECT_EQ(pull_rounds_by_width[0], pull_rounds_by_width[1]);
@@ -213,16 +164,9 @@ TEST(DirectionEnvLane, ForcePullEnvSeedsTheDefaultPolicy) {
   }
   EXPECT_EQ(RoundPolicy{}.direction, RoundPolicy::Direction::kPull);
   const Graph g = make_path(64);
-  SsspWorkspace ws;
-  bfs(g, 0, kNoVertex, ws);
-  EXPECT_GT(ws.pull_rounds(), 0u);
   EstClusterWorkspace cws;
   est_cluster(g, 0.5, 1, cws);
   EXPECT_GT(cws.pull_rounds(), 0u);
-  SsspWorkspace push_ws;
-  push_ws.set_round_policy(kPush);
-  bfs(g, 0, kNoVertex, push_ws);
-  EXPECT_EQ(push_ws.pull_rounds(), 0u);
   EstClusterWorkspace push_cws;
   push_cws.set_round_policy(kPush);
   est_cluster(g, 0.5, 1, push_cws);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
 
 #include "cluster/cluster_connectivity.hpp"
 #include "cluster/est_cluster.hpp"
@@ -15,7 +16,6 @@
 #include "hopset/hopset.hpp"
 #include "parallel/parallel_for.hpp"
 #include "spanner/distributed_spanner.hpp"
-#include "sssp/bfs.hpp"
 #include "spanner/low_stretch_tree.hpp"
 #include "spanner/spanner.hpp"
 #include "graph/delta.hpp"
@@ -107,7 +107,7 @@ TEST_P(DriverDeterminism, Hopset) {
 
 // --- the SSSP family (PR 3: every traversal driver runs on the shared
 // --- SsspWorkspace; distances, parents and counters must be bit-identical
-// --- across thread counts and across the packed/three-phase seam).
+// --- across thread counts).
 
 TEST_P(DriverDeterminism, SkewedFrontierDrivers) {
   // Hub-heavy inputs route every expansion through the degree-aware
@@ -234,28 +234,32 @@ TEST_P(TeamRounds, EstClusterSequentialVsParallelRounds) {
   }
 }
 
-TEST_P(TeamRounds, BfsDistancesAcrossAllSchedulingModes) {
-  // BFS distances, level counts AND parents are deterministic: parents
-  // are the per-level min-via argmin (docs/ARCHITECTURE.md).
+TEST_P(TeamRounds, HopLimitedUnitWeightsAcrossAllSchedulingModes) {
+  // An unbounded sweep on the unit-weight straddling graph: distances,
+  // round and relaxation counters and the round classes identical on the
+  // team (nested-sequential hook armed) and under the all-parallel policy.
   const Graph g = straddling();
-  SsspWorkspace one_ws;
-  const BfsResult baseline =
-      at_threads(1, [&] { return bfs(g, 0, kNoVertex, one_ws); });
-  auto expect_same = [&](const BfsResult& r) {
-    EXPECT_EQ(r.dist, baseline.dist);
-    EXPECT_EQ(r.parent, baseline.parent);
-    EXPECT_EQ(r.rounds, baseline.rounds);
+  const vid n = g.num_vertices();
+  auto sweep = [&](SsspWorkspace& ws) {
+    const HopLimitedStats stats = hop_limited_sssp(g, 0, n, kInfWeight, ws);
+    std::vector<weight_t> dist(n);
+    for (vid v = 0; v < n; ++v) dist[v] = ws.dist_of(v);
+    return std::tuple(dist, stats.rounds, stats.relaxations);
   };
+  SsspWorkspace one_ws;
+  const auto baseline = at_threads(1, [&] { return sweep(one_ws); });
+  EXPECT_GT(one_ws.sequential_rounds(), 0u);
+  EXPECT_GT(one_ws.team_rounds(), 0u);
   SsspWorkspace ws;
   assert_on_nested_sequential(true);
-  expect_same(at_width(4, [&] { return bfs(g, 0, kNoVertex, ws); }));
+  EXPECT_EQ(at_width(4, [&] { return sweep(ws); }), baseline);
   assert_on_nested_sequential(false);
   EXPECT_EQ(ws.sequential_rounds(), one_ws.sequential_rounds());
   EXPECT_EQ(ws.team_rounds(), one_ws.team_rounds());
   for (int width : {1, 4}) {
     SsspWorkspace par_ws;
     par_ws.set_round_policy(kAllParallel);
-    expect_same(at_width(width, [&] { return bfs(g, 0, kNoVertex, par_ws); }));
+    EXPECT_EQ(at_width(width, [&] { return sweep(par_ws); }), baseline);
     EXPECT_EQ(par_ws.sequential_rounds(), 0u);
   }
 }

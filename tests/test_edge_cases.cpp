@@ -131,7 +131,7 @@ TEST(WorkDepth, BenchRegionsIsolateAlgorithms) {
   wd::reset();
   const Graph g = make_grid(20, 20);
   wd::Region r1;
-  bfs(g, 0);
+  weighted_bfs(g, 0);
   const auto c1 = r1.delta();
   wd::Region r2;
   est_cluster(g, 0.5, 1);

@@ -136,13 +136,6 @@ TEST(Atomics, WriteMinOnlyLowers) {
   EXPECT_FALSE(atomic_write_min(&x, 5));  // equal: no strict improvement
 }
 
-TEST(Atomics, WriteMaxOnlyRaises) {
-  std::atomic<double> x{1.5};
-  EXPECT_TRUE(atomic_write_max(&x, 2.5));
-  EXPECT_FALSE(atomic_write_max(&x, 0.5));
-  EXPECT_DOUBLE_EQ(x.load(), 2.5);
-}
-
 TEST(Atomics, WriteMinUnderContentionFindsGlobalMin) {
   std::atomic<std::uint64_t> x{~0ULL};
   Rng rng(5);
@@ -155,14 +148,6 @@ TEST(Atomics, WriteMinUnderContentionFindsGlobalMin) {
   }
   parallel_for(0, n, [&](std::size_t i) { atomic_write_min(&x, vals[i]); });
   EXPECT_EQ(x.load(), expect);
-}
-
-TEST(Atomics, CasSwapsOnlyOnExpected) {
-  std::atomic<int> x{3};
-  EXPECT_FALSE(atomic_cas(&x, 4, 9));
-  EXPECT_EQ(x.load(), 3);
-  EXPECT_TRUE(atomic_cas(&x, 3, 9));
-  EXPECT_EQ(x.load(), 9);
 }
 
 TEST(WorkDepth, CountersAccumulateAndRegionsSnapshot) {

@@ -141,6 +141,60 @@ TEST(Protocol, ResponseAndStatsRoundTrip) {
   EXPECT_EQ(got_s.pool_checkout_timeouts, 3u);
 }
 
+TEST(Protocol, StatsWireBytesAreFixedFieldOrder) {
+  // Field i of the wire payload holds i + 1, written out by hand in the
+  // v3 order (faults_injected is slot 12), so any reordering, insertion
+  // or dropped counter changes the bytes.
+  StatsSnapshot s;
+  std::uint64_t* const named[] = {
+      &s.frames_received,        &s.invalid_frames,       &s.requests_admitted,
+      &s.requests_shed,          &s.queries_ok,           &s.queries_deadline_exceeded,
+      &s.queries_out_of_range,   &s.queries_degraded,     &s.batches_served,
+      &s.connections_opened,     &s.connections_closed,   &s.faults_injected,
+      &s.pool_checkout_timeouts, &s.updates_applied,      &s.updates_rejected,
+      &s.stale_batches,          &s.updates_deduped,      &s.wal_records,
+      &s.wal_fsyncs,             &s.checkpoints_written,  &s.wal_failures,
+      &s.recovered_updates,
+  };
+  constexpr std::size_t kFields = 22;
+  ASSERT_EQ(std::size(named), kFields);
+  for (std::size_t i = 0; i < kFields; ++i) *named[i] = i + 1;
+  std::vector<std::uint8_t> golden = {static_cast<std::uint8_t>(kFields), 0, 0, 0};
+  for (std::size_t i = 0; i < kFields; ++i) {
+    golden.push_back(static_cast<std::uint8_t>(i + 1));
+    golden.insert(golden.end(), 7, 0);
+  }
+  std::vector<std::uint8_t> frame;
+  encode_stats_response(frame, s);
+  const std::vector<std::uint8_t> payload(frame.begin() + kFrameHeaderBytes, frame.end());
+  EXPECT_EQ(payload, golden);
+
+  StatsSnapshot got;
+  ASSERT_TRUE(decode_stats_response(golden, &got).ok());
+  std::uint64_t* const got_named[] = {
+      &got.frames_received,        &got.invalid_frames,       &got.requests_admitted,
+      &got.requests_shed,          &got.queries_ok,           &got.queries_deadline_exceeded,
+      &got.queries_out_of_range,   &got.queries_degraded,     &got.batches_served,
+      &got.connections_opened,     &got.connections_closed,   &got.faults_injected,
+      &got.pool_checkout_timeouts, &got.updates_applied,      &got.updates_rejected,
+      &got.stale_batches,          &got.updates_deduped,      &got.wal_records,
+      &got.wal_fsyncs,             &got.checkpoints_written,  &got.wal_failures,
+      &got.recovered_updates,
+  };
+  for (std::size_t i = 0; i < kFields; ++i) EXPECT_EQ(*got_named[i], i + 1) << i;
+
+  // A pre-v3 server sends the first 16 counters only; the durability
+  // counters a newer client knows stay zero.
+  constexpr std::size_t kPreV3Fields = 16;
+  std::vector<std::uint8_t> pre_v3(golden.begin(), golden.begin() + 4 + 8 * kPreV3Fields);
+  pre_v3[0] = static_cast<std::uint8_t>(kPreV3Fields);
+  got = StatsSnapshot{};
+  ASSERT_TRUE(decode_stats_response(pre_v3, &got).ok());
+  for (std::size_t i = 0; i < kFields; ++i) {
+    EXPECT_EQ(*got_named[i], i < kPreV3Fields ? i + 1 : 0) << i;
+  }
+}
+
 // ---- fault injector determinism ---------------------------------------------
 
 TEST(FaultInjector, PerSiteTracesAreInterleavingIndependent) {

@@ -1,6 +1,6 @@
-// Tests for the shortest-path substrate: BFS, weighted (Dial) BFS,
-// Dijkstra and hop-limited Bellman-Ford, cross-checked against each other
-// over parameterized workloads.
+// Tests for the shortest-path substrate: weighted (Dial) BFS, Dijkstra and
+// hop-limited Bellman-Ford, cross-checked against each other over
+// parameterized workloads.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,60 +8,12 @@
 
 #include "graph/generators.hpp"
 #include "parallel/parallel_for.hpp"
-#include "sssp/bfs.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/hop_limited.hpp"
 #include "sssp/weighted_bfs.hpp"
 
 namespace parsh {
 namespace {
-
-TEST(Bfs, PathDistancesAreIndices) {
-  const Graph g = make_path(50);
-  const BfsResult r = bfs(g, 0);
-  for (vid v = 0; v < 50; ++v) EXPECT_EQ(r.dist[v], v);
-  // 49 claiming levels plus the final empty expansion.
-  EXPECT_EQ(r.rounds, 50u);
-}
-
-TEST(Bfs, UnreachableVerticesMarked) {
-  const Graph g = Graph::from_edges(4, {{0, 1, 1}});
-  const BfsResult r = bfs(g, 0);
-  EXPECT_EQ(r.dist[2], kUnreachedHops);
-  EXPECT_EQ(r.dist[3], kUnreachedHops);
-}
-
-TEST(Bfs, ParentsFormShortestPathTree) {
-  const Graph g = make_grid(8, 8);
-  const BfsResult r = bfs(g, 0);
-  for (vid v = 1; v < g.num_vertices(); ++v) {
-    ASSERT_NE(r.parent[v], kNoVertex);
-    EXPECT_EQ(r.dist[r.parent[v]] + 1, r.dist[v]);
-  }
-}
-
-TEST(Bfs, MaxLevelsTruncates) {
-  const Graph g = make_path(50);
-  const BfsResult r = bfs(g, 0, 10);
-  EXPECT_EQ(r.dist[10], 10u);
-  EXPECT_EQ(r.dist[11], kUnreachedHops);
-}
-
-TEST(MultiBfs, NearestSourceWinsAndOwnersPartition) {
-  const Graph g = make_path(30);
-  const MultiBfsResult r = multi_bfs(g, {0, 29});
-  for (vid v = 0; v < 30; ++v) {
-    EXPECT_EQ(r.dist[v], std::min(v, 29 - v));
-    EXPECT_EQ(r.owner[v], v <= 14 ? 0u : 1u);  // tie at 14/15 splits by level claim
-  }
-}
-
-TEST(MultiBfs, DuplicateSourcesHandled) {
-  const Graph g = make_cycle(10);
-  const MultiBfsResult r = multi_bfs(g, {3, 3, 3});
-  EXPECT_EQ(r.dist[3], 0u);
-  EXPECT_EQ(r.owner[3], 0u);
-}
 
 class SsspCross : public ::testing::TestWithParam<std::uint64_t> {
  protected:
@@ -84,15 +36,6 @@ TEST_P(SsspCross, HopLimitedConvergesToDijkstra) {
   const auto d = dijkstra(g, 0);
   const auto h = hop_limited_sssp(g, 0, g.num_vertices());
   for (vid v = 0; v < g.num_vertices(); ++v) EXPECT_EQ(h.dist[v], d.dist[v]) << v;
-}
-
-TEST_P(SsspCross, BfsMatchesDijkstraOnUnitWeights) {
-  const Graph g = ensure_connected(make_random_graph(300, 900, GetParam()));
-  const auto d = dijkstra(g, 0);
-  const auto b = bfs(g, 0);
-  for (vid v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_EQ(static_cast<weight_t>(b.dist[v]), d.dist[v]) << v;
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SsspCross, ::testing::Values(1, 2, 3, 4));
@@ -200,6 +143,14 @@ void expect_valid_sssp_tree(const Graph& g, vid source,
   }
 }
 
+TEST(WeightedBfs, MultiSourceDuplicateSourcesHandled) {
+  const Graph g = make_cycle(10);
+  const auto r = multi_weighted_bfs(g, {3, 3, 3});
+  EXPECT_EQ(r.dist[3], 0);
+  EXPECT_EQ(r.owner[3], 0u);
+  EXPECT_EQ(r.dist[8], 5);
+}
+
 TEST(WeightedBfs, ParentsFormShortestPathTree) {
   const Graph g = with_uniform_weights(
       ensure_connected(make_random_graph(300, 900, 6)), 1, 9, 11);
@@ -222,11 +173,10 @@ TEST(SsspWorkspace, WarmRepeatCallsDoZeroWorkspaceAllocations) {
       ensure_connected(make_random_graph(500, 2000, 12)), 1, 9, 13);
   SsspWorkspace ws;
   auto run_family = [&] {
-    const auto b = bfs(g, 3, kNoVertex, ws);
-    const auto m = multi_bfs(g, {1, 7}, kNoVertex, ws);
+    const auto m = multi_weighted_bfs(g, {1, 7}, kInfWeight, ws);
     const auto w = weighted_bfs(g, 2, kInfWeight, ws);
     const auto h = hop_limited_sssp(g, 5, 64, kInfWeight, ws);
-    return std::tuple(b.dist, m.dist, w.dist, w.parent, h.rounds);
+    return std::tuple(m.dist, m.owner, w.dist, w.parent, h.rounds);
   };
   const auto cold = run_family();
   const std::uint64_t after_cold = ws.alloc_events();

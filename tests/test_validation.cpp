@@ -8,7 +8,6 @@
 #include "graph/validation.hpp"
 #include "hopset/hopset.hpp"
 #include "hopset/weighted_hopset.hpp"
-#include "sssp/bfs.hpp"
 #include "sssp/weighted_bfs.hpp"
 
 namespace parsh {
@@ -48,10 +47,6 @@ TEST(Validation, EstClusterRejectsFractionalWeightsAndBadBeta) {
 TEST(Validation, WeightedBfsRejectsFractionalWeightsAndBadSource) {
   EXPECT_THROW(weighted_bfs(fractional_graph(), 0), InvalidGraphError);
   EXPECT_THROW(weighted_bfs(make_path(4), 9), std::out_of_range);
-}
-
-TEST(Validation, BfsRejectsBadSource) {
-  EXPECT_THROW(bfs(make_path(4), 4), std::out_of_range);
 }
 
 TEST(Validation, BuildHopsetRejectsBadInputs) {
