@@ -14,7 +14,8 @@
 //   DynamicApproxShortestPaths — batched edge updates, epoch-swapped
 //                            incremental re-serving over apply_delta
 // plus the substrates: CSR graphs, generators, parallel primitives,
-// weighted (Dial) BFS / Dijkstra / hop-limited search.
+// weighted (Dial) BFS / Dijkstra / hop-limited search / the label-setting
+// s-t sweep.
 #pragma once
 
 #include "cluster/cluster_connectivity.hpp"
@@ -54,6 +55,7 @@
 #include "sssp/dynamic_approx.hpp"
 #include "sssp/hop_limited.hpp"
 #include "sssp/sssp_workspace.hpp"
+#include "sssp/st_sweep.hpp"
 #include "sssp/weighted_bfs.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"

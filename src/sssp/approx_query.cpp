@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
+#include "graph/validation.hpp"
 #include "hopset/hopset.hpp"
 #include "parallel/parallel_for.hpp"
 #include "sssp/hop_limited.hpp"
+#include "sssp/st_sweep.hpp"
 
 namespace parsh {
 
@@ -16,15 +18,21 @@ ApproxShortestPaths::ApproxShortestPaths(const Graph& g, Params params)
   // caller overrode them.
   if (params_.hopset.zeta <= 0) params_.hopset.zeta = params_.epsilon / 2.0;
   hopset_ = build_weighted_hopset(g, params_.hopset);
-  init_hop_budgets_();
+  init_scales_();
 }
 
 ApproxShortestPaths::ApproxShortestPaths(vid n, WeightedHopset hopset, Params params)
     : params_(params), n_(n), hopset_(std::move(hopset)) {
-  init_hop_budgets_();
+  init_scales_();
 }
 
-void ApproxShortestPaths::init_hop_budgets_() {
+void ApproxShortestPaths::init_scales_() {
+  // query()'s st_sweep keys its queue by distance, so every scale graph
+  // must carry integer weights >= 1. Rounding and the hopset's path sums
+  // guarantee that; checking once here keeps the per-query path free of it.
+  for (const HopsetScale& sc : hopset_.scales) {
+    require_integer_weights(sc.rounded, "ApproxShortestPaths scale graph");
+  }
   // Per-scale hop budget: the k the rounding was charged with (a path
   // using more hops than that would exceed the rounding's distortion
   // allowance anyway), capped by max_hops. The Lemma 4.2 bound is the
@@ -62,17 +70,27 @@ ApproxShortestPaths::QueryResult ApproxShortestPaths::query(
     }
     const HopsetScale& sc = hopset_.scales[i];
     // Only distances up to the scale's cap are this scale's business;
-    // pruning there makes out-of-scale searches die after a few rounds.
-    // Bounding by t stops relaxing what cannot beat dist(t) once t is
-    // reached; dist(t) itself is unchanged, so the answer is too.
+    // pruning there makes out-of-scale searches die after a few keys.
     const weight_t dist_limit =
         sc.d * ratio * (1.0 + params_.epsilon) / sc.w_hat + 1.0;
-    const HopLimitedStats r = hop_limited_sssp(sc.rounded, s, hop_budget_[i],
-                                               dist_limit, ws, opts.deadline, t);
-    out.rounds += r.rounds;
+    // The label-setting sweep finds dist(t) and the fewest hops over the
+    // lightest s-t paths; within the budget that is exactly dist^h(t).
+    const StSweepStats r = st_sweep(sc.rounded, s, t, dist_limit, ws, opts.deadline);
+    out.rounds += r.hops;
     out.relaxations += r.relaxations;
-    // A deadline-cut sweep's distances are still valid upper bounds, so
-    // fold this scale's (partial) answer in before unwinding.
+    bool cut = r.deadline_hit;
+    if (!cut && ws.dist_of(t) != kInfWeight && r.hops > hop_budget_[i]) {
+      // Every lightest path is over budget, so dist^h(t) may be heavier:
+      // compute it with the hop-limited sweep.
+      ++out.fallbacks;
+      const HopLimitedStats b = hop_limited_sssp(sc.rounded, s, hop_budget_[i],
+                                                 dist_limit, ws, opts.deadline, t);
+      out.rounds += b.rounds;
+      out.relaxations += b.relaxations;
+      cut = b.deadline_hit;
+    }
+    // A deadline-cut sweep's label for t is still a real path's weight,
+    // so fold this scale's (partial) answer in before unwinding.
     const weight_t dt = ws.dist_of(t);
     if (dt != kInfWeight) {
       const weight_t est = dt * sc.w_hat;
@@ -82,9 +100,9 @@ ApproxShortestPaths::QueryResult ApproxShortestPaths::query(
       }
       // The scale whose range contains the estimate is (1+eps)-accurate;
       // larger scales only get coarser. Stop once consistent.
-      if (!r.deadline_hit && est <= sc.d * ratio * (1.0 + params_.epsilon)) break;
+      if (!cut && est <= sc.d * ratio * (1.0 + params_.epsilon)) break;
     }
-    if (r.deadline_hit) {
+    if (cut) {
       out.deadline_exceeded = true;
       break;
     }

@@ -2,10 +2,15 @@
 //
 // Preprocessing: Klein-Subramanian rounding per distance scale + the
 // Algorithm 4 hopset on each rounded graph (build_weighted_hopset).
-// Query: for each scale, a hop-budgeted round-synchronous search over the
-// rounded graph-plus-hopset ([KS97]'s reduction: given an
-// (eps, h, m')-hopset, a (1+eps)-approximate distance takes O(h) rounds of
-// O(m) work). The smallest consistent scale answers; every scale's answer
+// Query: for each scale, dist^h(s, t) over the rounded graph-plus-hopset
+// ([KS97]'s reduction: given an (eps, h, m')-hopset, a
+// (1+eps)-approximate distance needs only h-hop paths). Every scale graph
+// has integer weights >= 1, so a label-setting Dial sweep (st_sweep.hpp)
+// finds dist(t) with the fewest hops over its lightest paths and stops
+// once t settles; when that hop count is within the scale's budget it is
+// dist^h(t), and otherwise the scale reruns the hop-limited
+// round-synchronous sweep (hop_limited.hpp). The answer is bit-identical
+// either way. The smallest consistent scale answers; every scale's answer
 // is a valid upper bound, so the engine returns the minimum seen.
 //
 // Works for unweighted graphs too (they are the single-scale special
@@ -41,7 +46,9 @@ class ApproxShortestPaths {
   };
 
   /// Preprocess g (positive weights; integer not required — rounding
-  /// handles it). Deterministic in (g, params).
+  /// handles it). Deterministic in (g, params). Both constructors throw
+  /// InvalidGraphError if a scale graph carries a weight that is not an
+  /// integer >= 1 (the query sweep's precondition).
   ApproxShortestPaths(const Graph& g, Params params);
 
   /// Wrap a hopset the caller already built (the incremental-rebuild path
@@ -54,13 +61,22 @@ class ApproxShortestPaths {
 
   struct QueryResult {
     weight_t estimate = kInfWeight;  ///< (1+eps)-approximate distance
-    std::uint64_t rounds = 0;        ///< hop rounds executed (depth proxy)
-    std::uint64_t relaxations = 0;   ///< edges relaxed (work proxy)
+    /// Hop depth: per scale run, t's hop label (the fewest hops over its
+    /// lightest paths, or the deepest settled label when t was not
+    /// reached), plus the hop-limited rounds of a fallback rerun.
+    std::uint64_t rounds = 0;
+    std::uint64_t relaxations = 0;   ///< arcs scanned (work proxy)
     std::size_t scale_used = 0;      ///< index of the answering scale
+    /// Scales answered by the hop-limited rerun because every lightest
+    /// s-t path exceeded the scale's hop budget.
+    std::uint64_t fallbacks = 0;
     /// The deadline expired before every scheduled scale finished. The
-    /// estimate is whatever the completed rounds settled — still a valid
-    /// upper bound when finite (rounded-up weights), but the (1+eps)
-    /// stretch target is no longer guaranteed.
+    /// estimate folds in the cut scale's current label for t: the weight
+    /// of a real path over rounded-up weights, so never below the exact
+    /// distance, but neither the (1+eps) stretch target nor equality with
+    /// the uncut query's estimate is guaranteed. Unless that scale needed
+    /// the hop-limited rerun, the cut estimate is also never below the
+    /// uncut one (the cut only stopped a sweep early).
     bool deadline_exceeded = false;
     /// Served from a degraded tier (skip_scales > 0 actually skipped
     /// scales); see QueryOptions for the tier's stretch contract.
@@ -69,8 +85,9 @@ class ApproxShortestPaths {
 
   /// Per-query serving knobs. Defaults reproduce the plain query exactly.
   struct QueryOptions {
-    /// Cooperative cancellation budget, polled between scales and between
-    /// hop rounds inside each scale. On expiry the query unwinds with a
+    /// Cooperative cancellation budget, polled between scales and, inside
+    /// each scale, every 256 settled vertices (between rounds in a
+    /// fallback rerun). On expiry the query unwinds with a
     /// partial, deadline_exceeded-flagged answer instead of blocking.
     Deadline deadline = Deadline::never();
     /// Graceful degradation tier: skip the `skip_scales` finest distance
@@ -151,7 +168,8 @@ class ApproxShortestPaths {
   }
 
  private:
-  void init_hop_budgets_();
+  /// Check the scale graphs' integer weights and set the hop budgets.
+  void init_scales_();
 
   Params params_;
   vid n_ = 0;

@@ -6,6 +6,11 @@
 // O(h log n) and work O(hm), matching the query stage of [KS97] that
 // Theorems 1.2 / 4.4 plug hopsets into. It also measures the *effective*
 // hop radius: the smallest h at which dist^h reaches a target value.
+//
+// ApproxShortestPaths::query answers s-t pairs with the label-setting
+// st_sweep (st_sweep.hpp) and reruns this sweep only for a scale whose
+// lightest s-t path is over the hop budget; query_all, hops_to_approx and
+// the parallel round drivers use it directly.
 #pragma once
 
 #include <cstdint>
@@ -46,11 +51,11 @@ struct HopLimitedStats {
 HopLimitedResult hop_limited_sssp(const Graph& g, vid source, std::uint64_t h,
                                   weight_t dist_limit = kInfWeight);
 
-/// Workspace form — the hot path of ApproxShortestPaths: distances are
-/// left in `ws` (valid until its next run) instead of materializing an
-/// n-vector, and warm calls whose reach fits the workspace's high-water
-/// buffers perform zero heap allocations. Iterate ws.touched() to read
-/// the reached set sparsely.
+/// Workspace form — what query_all and the s-t query's fallback run:
+/// distances are left in `ws` (valid until its next run) instead of
+/// materializing an n-vector, and warm calls whose reach fits the
+/// workspace's high-water buffers perform zero heap allocations. Iterate
+/// ws.touched() to read the reached set sparsely.
 ///
 /// `deadline` is polled between rounds (cooperative cancellation — the
 /// serving layer's per-request budget): on expiry the sweep returns with
@@ -63,8 +68,8 @@ HopLimitedResult hop_limited_sssp(const Graph& g, vid source, std::uint64_t h,
 /// frontier. Only ws.dist_of(target) is then exact dist^h — after every
 /// round, bit-equal to the unbounded sweep's — while other touched
 /// vertices hold upper bounds. rounds/relaxations fall but stay
-/// schedule-independent. The s-t query engine passes its t; all-targets
-/// callers pass none.
+/// schedule-independent. The s-t query's fallback passes its t;
+/// all-targets callers pass none.
 HopLimitedStats hop_limited_sssp(const Graph& g, vid source, std::uint64_t h,
                                  weight_t dist_limit, SsspWorkspace& ws,
                                  const Deadline& deadline = Deadline::never(),

@@ -1,14 +1,14 @@
 // Reusable traversal workspace for the SSSP family.
 //
 // Every traversal driver in src/sssp/ — the Dial search of weighted BFS,
-// hop-limited Bellman-Ford and the Theorem 1.2 query engine's per-scale
-// sweeps — shares one storage shape: a bucketed frontier engine plus
-// per-vertex (dist, parent) state. Before this layer each call
-// heap-allocated that state from scratch, which the two hot call loops pay
-// for repeatedly: ApproxShortestPaths runs one sweep per distance scale per
-// query, and the hopset build fans out one weighted BFS per large-cluster
-// center. SsspWorkspace owns the state once, mirroring EstClusterWorkspace
-// for the clustering side:
+// hop-limited Bellman-Ford and the label-setting s-t sweep that answers
+// the Theorem 1.2 query engine's per-scale searches — shares one storage
+// shape: a bucketed queue plus per-vertex (dist, parent) state. Before
+// this layer each call heap-allocated that state from scratch, which the
+// two hot call loops pay for repeatedly: ApproxShortestPaths runs one
+// sweep per distance scale per query, and the hopset build fans out one
+// weighted BFS per large-cluster center. SsspWorkspace owns the state
+// once, mirroring EstClusterWorkspace for the clustering side:
 //
 //  * one vid bucket engine (Dial buckets), reset-but-never-shrunk across
 //    calls;
@@ -19,7 +19,12 @@
 //    workspace maintenance, not O(n);
 //  * the round policy, the FrontierRelaxer and the per-round counters,
 //    inherited from RoundScheduler (parallel/round_scheduler.hpp), which
-//    EstClusterWorkspace shares.
+//    EstClusterWorkspace shares;
+//  * st_sweep's Dial queue: per-vertex list links and hop labels, a key
+//    window of list heads (grown lazily, at most 65,536 keys) with its
+//    bitmaps, and a heap for keys past the window. Allocated on the
+//    sweep's first run only, so workspaces that never answer s-t queries
+//    (the hopset build's pool) do not carry it.
 //
 // Results of a run stay readable in place (dist_of / parent_of / touched)
 // until the next run on the same workspace begins. Not thread-safe across
@@ -46,6 +51,7 @@ namespace parsh {
 struct WeightedBfsResult;
 struct MultiWeightedBfsResult;
 struct HopLimitedStats;
+struct StSweepStats;
 
 namespace detail {
 
@@ -59,6 +65,20 @@ inline void push_counted(std::vector<T>& buf, T value,
   }
   buf.push_back(std::move(value));
 }
+
+/// st_sweep's per-vertex state: the links of the vertex's key list and
+/// its hop label.
+struct DialLink {
+  vid next = kNoVertex;
+  vid prev = kNoVertex;
+  std::uint32_t hops = 0;
+};
+
+/// An st_sweep key waiting beyond the queue's window.
+struct DialOverflow {
+  std::size_t key = 0;
+  vid v = kNoVertex;
+};
 
 }  // namespace detail
 
@@ -106,6 +126,8 @@ class SsspWorkspace : public RoundScheduler {
                                           const Deadline&, vid);
   friend std::uint64_t hops_to_approx(const Graph&, vid, vid, weight_t, double,
                                       std::uint64_t);
+  friend StSweepStats st_sweep(const Graph&, vid, vid, weight_t, SsspWorkspace&,
+                               const Deadline&);
 
   /// Grow the per-vertex arrays (dist/parent/owner) to hold n vertices;
   /// geometric headroom, never shrunk. Newly (re)built entries restore the
@@ -129,6 +151,12 @@ class SsspWorkspace : public RoundScheduler {
   std::vector<vid> frontier_;                    // popped vid bucket / BF frontier
   std::vector<vid> improved_;                    // BF winners, settled lists
   std::vector<weight_t> frontier_dist_;          // per-round frontier snapshot (BF)
+  // st_sweep's Dial queue (st_sweep.cpp), grown on its first use only.
+  std::vector<detail::DialLink> dial_links_;     // per vertex
+  std::vector<vid> key_head_;                    // per window slot: first vertex
+  std::vector<std::uint64_t> key_bits_;          // nonempty slots
+  std::vector<std::uint64_t> key_summary_;       // nonzero key_bits_ words
+  std::vector<detail::DialOverflow> key_overflow_;  // keys past the window
   std::size_t vertex_capacity_ = 0;
   std::uint64_t grow_events_ = 0;
   std::atomic<std::uint64_t> scratch_allocs_{0};

@@ -2,7 +2,8 @@
 // layer.
 //
 // A Deadline is polled, never enforced: long-running loops (the
-// hop-limited sweep's round loop, ApproxShortestPaths' per-scale loop,
+// hop-limited sweep's round loop, the s-t sweep's settle loop every 256
+// vertices, ApproxShortestPaths' per-scale loop,
 // query_batch's per-request loop, the server's admission and I/O paths)
 // call expired() at their natural yield points and unwind with a partial,
 // DEADLINE_EXCEEDED-flagged answer instead of blocking a worker. Three

@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "graph/generators.hpp"
+#include "graph/validation.hpp"
 #include "random/rng.hpp"
 #include "sssp/approx_query.hpp"
 #include "sssp/dijkstra.hpp"
@@ -99,6 +100,39 @@ TEST(ApproxQuery, RoundsStayFarBelowGraphDiameterHops) {
   EXPECT_LT(qr.rounds, 1500u);  // far less than ~2000 plain hops over scales
 }
 
+TEST(ApproxQuery, DeadlineCutInsideASweepFoldsInTargetLabel) {
+  // On a 2,304-vertex grid the sweeps settle hundreds of vertices, so
+  // countdown deadlines land inside a sweep. A cut there folds in t's
+  // tentative label when t has one: a real path, possibly heavier than
+  // the answer (vertex 600 has one such cut).
+  const Graph g = with_uniform_weights(make_grid(48, 48), 1, 8, 5);
+  const ApproxShortestPaths engine(g, {});
+  SsspWorkspace ws;
+  std::uint64_t loose_labels = 0;
+  std::uint64_t most_polls = 0;
+  for (const vid t : {vid{100}, vid{600}, vid{1200}, g.num_vertices() - 1}) {
+    const auto uncut = engine.query(0, t, ws);
+    ASSERT_NE(uncut.estimate, kInfWeight);
+    weight_t previous = kInfWeight;
+    for (std::uint64_t checks = 0;; ++checks) {
+      ApproxShortestPaths::QueryOptions opts;
+      opts.deadline = Deadline::after_checks(checks);
+      const auto got = engine.query(0, t, ws, opts);
+      EXPECT_LE(got.estimate, previous) << "t=" << t << " checks=" << checks;
+      previous = got.estimate;
+      if (!got.deadline_exceeded) {
+        most_polls = std::max(most_polls, checks);
+        break;
+      }
+      EXPECT_GE(got.estimate, uncut.estimate) << "t=" << t << " checks=" << checks;
+      if (got.estimate != kInfWeight && got.estimate > uncut.estimate) ++loose_labels;
+    }
+    EXPECT_EQ(previous, uncut.estimate) << t;
+  }
+  EXPECT_GT(most_polls, engine.num_scales());  // some polls fell inside a sweep
+  EXPECT_GT(loose_labels, 0u);
+}
+
 TEST(ApproxQuery, TighterEpsilonGivesTighterEstimates) {
   const Graph g = with_uniform_weights(make_grid(15, 15), 1, 7, 5);
   ApproxShortestPaths::Params loose;
@@ -144,6 +178,24 @@ TEST(ApproxQuery, ReportsScalesAndPreprocessingCounters) {
   EXPECT_GT(engine.preprocessing_rounds(), 0u);
 }
 
+TEST(ApproxQuery, RejectsScaleGraphsWithoutIntegerWeights) {
+  // The query sweep keys its queue by distance: both constructors check
+  // that every scale graph's weights are integers >= 1.
+  const Graph g = with_uniform_weights(make_grid(8, 8), 1, 5, 2);
+  ApproxShortestPaths::Params p;
+  p.hopset.zeta = p.epsilon / 2.0;
+  const ApproxShortestPaths engine(g, p);
+  EXPECT_NO_THROW(ApproxShortestPaths(g.num_vertices(), engine.hopset(), p));
+  // A fractional weight, and an integer one below 1.
+  for (const double scale : {0.5, 0.0}) {
+    WeightedHopset hs = engine.hopset();
+    hs.scales.back().rounded =
+        hs.scales.back().rounded.map_weights([&](weight_t w) { return w * scale; });
+    EXPECT_THROW(ApproxShortestPaths(g.num_vertices(), std::move(hs), p),
+                 InvalidGraphError);
+  }
+}
+
 TEST(ApproxQuery, QueryAllMatchesPointQueriesFromAbove) {
   // query_all's estimate is the min over all scales; a point query may
   // stop at the first consistent scale, so query_all is never worse.
@@ -174,11 +226,12 @@ TEST(ApproxQuery, QueryAllIsValidUpperBoundOnExact) {
   EXPECT_EQ(all.estimate[3], 0);
 }
 
-// --- Target-bounded sweeps. query() hands t to each scale's sweep, which
-// --- then stops relaxing what cannot beat dist(t). The contract is that
-// --- the answer is untouched: estimate bits and the answering scale equal
-// --- the same scale loop run over untargeted sweeps, on every storage,
-// --- degraded tier and deadline cut.
+// --- Target-bounded sweeps. query() answers each scale with a
+// --- label-setting sweep that stops once t settles (and reruns the
+// --- hop-limited sweep when t's hop label is over budget). The contract
+// --- is that the answer is untouched: estimate bits and the answering
+// --- scale equal the same scale loop run over untargeted hop-limited
+// --- sweeps, on every storage and degraded tier.
 
 using Engine = ApproxShortestPaths;
 
@@ -290,28 +343,75 @@ TEST_P(TargetBounded, QueryMatchesUntargetedScaleLoop) {
   }
 }
 
-TEST_P(TargetBounded, DeadlinePartialsMatchUntargetedScaleLoop) {
+TEST_P(TargetBounded, FallbackMatchesUntargetedScaleLoop) {
+  // A 2-hop budget is below most pairs' hop labels, so scales fall back to
+  // the hop-limited rerun; the answer must still be the reference's.
+  const Graph g = graph();
+  const vid n = g.num_vertices();
+  Engine::Params p = params();
+  p.max_hops = 2;
+  const Engine flat(g, p);
+  const Engine packed = compressed(flat, n, p);
+  for (const Engine* engine : {&flat, &packed}) {
+    SsspWorkspace ws;
+    std::uint64_t fallbacks = 0;
+    for (const auto& [s, t] : pairs(n)) {
+      for (std::size_t skip = 0; skip < engine->num_scales(); ++skip) {
+        Engine::QueryOptions opts;
+        opts.skip_scales = skip;
+        const auto got = engine->query(s, t, ws, opts);
+        const auto want = untargeted_query(*engine, p, n, s, t, skip, Deadline::never());
+        ASSERT_EQ(bits(got.estimate), bits(want.estimate))
+            << "s=" << s << " t=" << t << " skip=" << skip;
+        ASSERT_EQ(got.scale_used, want.scale_used)
+            << "s=" << s << " t=" << t << " skip=" << skip;
+        fallbacks += got.fallbacks;
+      }
+    }
+    EXPECT_GT(fallbacks, 0u);
+  }
+}
+
+TEST_P(TargetBounded, DeadlineCutsAreFlaggedUpperBounds) {
   // Countdown deadlines cut the query after every possible poll. A cut
-  // inside a scale leaves dist^k(t), which the bound does not change.
+  // answer folds in the cut scale's label for t, the weight of a real
+  // path: flagged, and infinite or no better than both the exact distance
+  // and the uncut answer. More budget never makes the answer worse, and
+  // the first uncut answer is the reference's, bit for bit. A query polls
+  // once per scale plus once per 256 settled vertices, so it finishes
+  // within num_scales * (1 + n / 256) polls.
   const Graph g = graph();
   const vid n = g.num_vertices();
   const Engine::Params p = params();
   const Engine flat(g, p);
   const Engine packed = compressed(flat, n, p);
+  const std::uint64_t max_polls = flat.num_scales() * (1 + n / 256);
   for (const Engine* engine : {&flat, &packed}) {
     SsspWorkspace ws;
     for (const auto& [s, t] : pairs(n)) {
+      const weight_t exact = st_distance(g, s, t);
+      const auto uncut = engine->query(s, t, ws);
+      ASSERT_EQ(uncut.fallbacks, 0u);  // the bound below assumes no rerun
+      const auto want = untargeted_query(*engine, p, n, s, t, 0, Deadline::never());
+      weight_t previous = kInfWeight;
       for (std::uint64_t checks = 0;; ++checks) {
+        ASSERT_LE(checks, max_polls) << "s=" << s << " t=" << t;
         Engine::QueryOptions opts;
         opts.deadline = Deadline::after_checks(checks);
         const auto got = engine->query(s, t, ws, opts);
-        const auto want = untargeted_query(*engine, p, n, s, t, 0,
-                                           Deadline::after_checks(checks));
-        ASSERT_EQ(bits(got.estimate), bits(want.estimate))
+        ASSERT_LE(got.estimate, previous)
             << "s=" << s << " t=" << t << " checks=" << checks;
-        ASSERT_EQ(got.scale_used, want.scale_used)
-            << "s=" << s << " t=" << t << " checks=" << checks;
-        if (!got.deadline_exceeded) break;
+        previous = got.estimate;
+        if (!got.deadline_exceeded) {
+          ASSERT_EQ(bits(got.estimate), bits(want.estimate))
+              << "s=" << s << " t=" << t << " checks=" << checks;
+          ASSERT_EQ(got.scale_used, want.scale_used)
+              << "s=" << s << " t=" << t << " checks=" << checks;
+          break;
+        }
+        if (got.estimate == kInfWeight) continue;
+        EXPECT_GE(got.estimate + 1e-6, exact) << "s=" << s << " t=" << t;
+        EXPECT_GE(got.estimate, uncut.estimate) << "s=" << s << " t=" << t;
       }
     }
   }

@@ -1,16 +1,19 @@
-// Tests for the shortest-path substrate: weighted (Dial) BFS, Dijkstra and
-// hop-limited Bellman-Ford, cross-checked against each other over
-// parameterized workloads.
+// Tests for the shortest-path substrate: weighted (Dial) BFS, Dijkstra,
+// hop-limited Bellman-Ford and the label-setting s-t sweep, cross-checked
+// against each other over parameterized workloads.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <tuple>
 
 #include "graph/generators.hpp"
 #include "parallel/parallel_for.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/hop_limited.hpp"
+#include "sssp/st_sweep.hpp"
 #include "sssp/weighted_bfs.hpp"
+#include "util/deadline.hpp"
 
 namespace parsh {
 namespace {
@@ -204,6 +207,119 @@ TEST(SsspWorkspace, ResultsReadableInPlaceUntilNextRun) {
   EXPECT_EQ(ws.dist_of(4), kInfWeight);
   EXPECT_EQ(ws.parent_of(4), kNoVertex);
   EXPECT_EQ(ws.touched().size(), 4u);
+}
+
+// --- st_sweep: dist(t) must equal Dijkstra's, and its hop label the
+// --- least h at which the hop-limited sweep's dist^h(t) reaches dist(t).
+
+void expect_st_sweep_exact(const Graph& g, vid s, vid t, weight_t limit,
+                           SsspWorkspace& ws) {
+  const weight_t exact = st_distance(g, s, t);
+  const StSweepStats r = st_sweep(g, s, t, limit, ws);
+  ASSERT_FALSE(r.deadline_hit);
+  if (exact > limit) {
+    EXPECT_EQ(ws.dist_of(t), kInfWeight) << "s=" << s << " t=" << t;
+    return;
+  }
+  ASSERT_EQ(ws.dist_of(t), exact) << "s=" << s << " t=" << t;
+  EXPECT_EQ(r.hops, hops_to_approx(g, s, t, exact, 0.0, g.num_vertices()))
+      << "s=" << s << " t=" << t;
+}
+
+TEST(StSweep, MatchesDijkstraDistanceAndLeastHops) {
+  // Weights 1-3 make many equal-weight paths with different hop counts.
+  const Graph g = with_uniform_weights(
+      ensure_connected(make_random_graph(300, 900, 4)), 1, 3, 5);
+  SsspWorkspace ws;
+  for (vid s = 0; s < 300; s += 37) {
+    for (vid t = 1; t < 300; t += 29) {
+      if (s == t) continue;
+      const weight_t exact = st_distance(g, s, t);
+      expect_st_sweep_exact(g, s, t, 1e9, ws);
+      expect_st_sweep_exact(g, s, t, std::floor(0.6 * exact), ws);
+      expect_st_sweep_exact(g, s, t, exact, ws);
+    }
+  }
+}
+
+TEST(StSweep, KeysBeyondTheWindowMatchDijkstra) {
+  // Weights up to 200k spread the queued keys far past the 65,536-key
+  // window, so most pushes wait in the overflow heap and refill it.
+  SsspWorkspace ws;
+  for (const Graph& g :
+       {with_uniform_weights(ensure_connected(make_random_graph(400, 1600, 7)), 1,
+                             200000, 8),
+        with_uniform_weights(make_path_with_chords(500, 40, 3), 1000, 90000, 9),
+        with_uniform_weights(make_grid(20, 20), 1, 100000, 10)}) {
+    const vid n = g.num_vertices();
+    bool far = false;
+    for (const vid s : {vid{0}, n / 3, n / 2}) {
+      for (const vid t : {n - 1, n / 4, 2 * n / 3}) {
+        far = far || st_distance(g, s, t) > 4 * 65536;
+        expect_st_sweep_exact(g, s, t, 1e12, ws);
+        expect_st_sweep_exact(g, s, t, 300000, ws);
+      }
+    }
+    EXPECT_TRUE(far);
+  }
+}
+
+TEST(StSweep, UnreachedTargetReportsDeepestLabel) {
+  // 0-1-2-3-4 and an isolated 5: the sweep exhausts 4 hops, finds no t.
+  const Graph g = Graph::from_edges(6, {{0, 1, 1}, {1, 2, 1}, {2, 3, 1}, {3, 4, 1}});
+  SsspWorkspace ws;
+  const StSweepStats r = st_sweep(g, 0, 5, 100, ws);
+  EXPECT_EQ(ws.dist_of(5), kInfWeight);
+  EXPECT_EQ(r.hops, 4u);
+  EXPECT_EQ(r.relaxations, 8u);  // every arc of the reached component
+  EXPECT_EQ(st_sweep(g, 3, 3, 100, ws).hops, 0u);
+  EXPECT_EQ(ws.dist_of(3), 0);
+}
+
+TEST(StSweep, DeadlineCutLeavesAnUpperBoundAndAReusableQueue) {
+  const Graph g = with_uniform_weights(make_grid(40, 40), 1, 8, 3);
+  const vid t = g.num_vertices() - 1;
+  const weight_t exact = st_distance(g, 0, t);
+  SsspWorkspace ws;
+  std::uint64_t last_work = 0;
+  for (std::uint64_t checks = 0; checks < 6; ++checks) {
+    const StSweepStats r = st_sweep(g, 0, t, 1e9, ws, Deadline::after_checks(checks));
+    ASSERT_TRUE(r.deadline_hit) << checks;  // 1,600 vertices: >= 6 polls
+    EXPECT_GT(r.relaxations, last_work);    // each poll is 256 settles later
+    last_work = r.relaxations;
+    const weight_t dt = ws.dist_of(t);
+    EXPECT_TRUE(dt == kInfWeight || dt >= exact) << checks;
+    // The cut left keys queued; the next run must start from a clean queue.
+    expect_st_sweep_exact(g, 5, 77, 1e9, ws);
+  }
+}
+
+TEST(StSweep, WarmRerunAllocatesNothing) {
+  const Graph g = with_uniform_weights(
+      ensure_connected(make_random_graph(500, 2000, 12)), 1, 150000, 13);
+  SsspWorkspace ws;
+  auto run = [&] {
+    std::vector<std::tuple<weight_t, std::uint64_t, std::uint64_t>> out;
+    for (vid s = 0; s < 500; s += 61) {
+      const StSweepStats r = st_sweep(g, s, 499 - s, 1e12, ws);
+      out.emplace_back(ws.dist_of(499 - s), r.hops, r.relaxations);
+    }
+    return out;
+  };
+  const auto cold = run();
+  const std::uint64_t after_cold = ws.alloc_events();
+  EXPECT_GT(after_cold, 0u);
+  EXPECT_EQ(run(), cold);
+  EXPECT_EQ(ws.alloc_events(), after_cold);
+}
+
+TEST(StSweep, RejectsBadArguments) {
+  const Graph g = make_grid(4, 4);
+  SsspWorkspace ws;
+  EXPECT_THROW((void)st_sweep(g, 16, 0, 10, ws), std::out_of_range);
+  EXPECT_THROW((void)st_sweep(g, 0, 16, 10, ws), std::out_of_range);
+  EXPECT_THROW((void)st_sweep(g, 0, 5, kInfWeight, ws), std::invalid_argument);
+  EXPECT_THROW((void)st_sweep(g, 0, 5, -1, ws), std::invalid_argument);
 }
 
 }  // namespace
