@@ -67,10 +67,6 @@ int main(int argc, char** argv) {
     }
     if (threads.empty()) threads.push_back(1);
   }
-#ifndef PARSH_HAVE_OPENMP
-  std::printf("(built without OpenMP: thread counts beyond 1 run sequentially)\n");
-  threads.assign(1, 1);
-#endif
 
   JsonReport report("est_cluster");
   Table table({"workload", "n", "m", "threads", "time(s)", "push(s)", "speedup",
@@ -131,9 +127,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(pull_edges));
     double t1 = 0;  // 1-thread engine time, denominator of the speedup column
     for (int t : threads) {
-#ifdef PARSH_HAVE_OPENMP
-      omp_set_num_threads(t);
-#endif
+      set_num_workers(t);
       Clustering c;
       Run best;
       best.seconds = 1e300;

@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
   std::snprintf(stem, sizeof stem, "/rmat_n%u_m%" PRIu64 "_s%" PRIu64,
                 n, static_cast<std::uint64_t>(m), seed);
   const std::string flat_path = cache_dir + stem + ".pcsr";
-  const std::string comp_path = cache_dir + stem + ".c.pcsr";
+  const std::string compressed_path = cache_dir + stem + ".c.pcsr";
   const std::string text_path = cache_dir + stem + ".txt";
 
   JsonReport report("graph_io");
@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
 
   // --- Phase 1: stream the RMAT to disk (cached across runs) -------------
   for (const bool compress : {false, true}) {
-    const std::string& path = compress ? comp_path : flat_path;
+    const std::string& path = compress ? compressed_path : flat_path;
     double secs = 0;
     if (!file_exists(path)) {
       secs = timed([&] { stream_rmat_pcsr(path, n, m, seed, 0.57, 0.19, 0.19,
@@ -169,12 +169,12 @@ int main(int argc, char** argv) {
     const Run load = best_of(reps, [&] {
       PcsrLoadOptions opt;
       opt.verify_checksums = true;
-      gz = load_pcsr_file(comp_path, opt);
+      gz = load_pcsr_file(compressed_path, opt);
     });
     const std::uint64_t after = rss_kb();
     add_row("load", "pcsr-mmap-compressed+checksums", load.seconds,
             after - (before < after ? before : after), peak_rss_kb(),
-            file_bytes(comp_path),
+            file_bytes(compressed_path),
             static_cast<double>(gz.adjacency_bytes()) /
                 static_cast<double>(gz.num_arcs() ? gz.num_arcs() : 1),
             "per-section fnv1a verified");
@@ -216,7 +216,7 @@ int main(int argc, char** argv) {
             0, 4.0, detail);
   }
   {
-    const Graph gz = load_pcsr_file(comp_path);
+    const Graph gz = load_pcsr_file(compressed_path);
     EstClusterWorkspace ws;
     Clustering c = est_cluster(gz, beta, seed, ws);  // warm
     const Run run = best_of(reps, [&] { c = est_cluster(gz, beta, seed, ws); });

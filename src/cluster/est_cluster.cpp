@@ -265,9 +265,8 @@ Clustering est_cluster(const Graph& g, double beta, std::uint64_t seed,
   // Per-stage chunk for the proposal-indexed phases below.
   constexpr std::size_t kStageGrain = 512;
 
-  // One persistent parallel region for the whole drain (one fork/join
-  // total instead of ~5 per round); every phase below is a
-  // barrier-separated Team stage.
+  // One drive for the whole drain (the pool is taken once, not ~5 times
+  // per round); every phase below is a barrier-separated Team stage.
   Team::drive([&](Team& team) {
     while (assigned < n && engine.pop_round(team, props) != kNoBucket) {
       // Min-reduce proposals per vertex (the CRCW priority write), in

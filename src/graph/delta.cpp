@@ -1,7 +1,6 @@
 #include "graph/delta.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <stdexcept>
 #include <string>
@@ -170,17 +169,11 @@ DeltaResult Graph::apply_delta(const GraphDelta& delta) const {
     } else {
       w.assign(num_arcs(), weight_t{1});
     }
-    std::atomic<bool> bad{false};
     parallel_for(0, res.changes.size(), [&](std::size_t i) {
       const EdgeChange& c = res.changes[i];
-      try {
-        w[find_arc(*this, c.u, c.v)] = c.w_new;
-        w[find_arc(*this, c.v, c.u)] = c.w_new;
-      } catch (const std::exception&) {
-        bad.store(true, std::memory_order_relaxed);
-      }
+      w[find_arc(*this, c.u, c.v)] = c.w_new;
+      w[find_arc(*this, c.v, c.u)] = c.w_new;
     });
-    if (bad.load()) throw std::runtime_error("corrupt compressed adjacency stream");
     Graph g = *this;
     g.storage_.weights = ArrayHandle<weight_t>::adopt(std::move(w));
     res.graph = std::move(g);
@@ -220,7 +213,6 @@ DeltaResult Graph::apply_delta(const GraphDelta& delta) const {
   const bool need_w = weighted() || any_nonunit_new;
   std::vector<vid> targets(m_new);
   std::vector<weight_t> weights(need_w ? m_new : 0);
-  std::atomic<bool> bad{false};
   parallel_for(0, static_cast<std::size_t>(n), [&](std::size_t us) {
     const vid u = static_cast<vid>(us);
     auto by_src = [](const DirChange& d, vid s) { return d.src < s; };
@@ -234,31 +226,26 @@ DeltaResult Graph::apply_delta(const GraphDelta& delta) const {
       if (need_w) weights[pos] = w;
       ++pos;
     };
-    // Exceptions (corrupt compressed stream) must not unwind out of a
-    // parallel region; flag and rethrow after the join.
-    try {
-      for_arcs(u, 0, degree(u), [](vid) {}, [&](eid e, vid t) {
-        while (p != pend && p->dst < t) {
-          if (p->kind == kAdd) emit(p->dst, p->w_new);
-          ++p;
-        }
-        if (p != pend && p->dst == t) {
-          if (p->kind != kDel) emit(t, p->w_new);
-          ++p;
-          return;
-        }
-        emit(t, weight(e));
-      });
-      while (p != pend) {
+    // A corrupt compressed stream throws out of the decode; the pool
+    // rethrows it from parallel_for.
+    for_arcs(u, 0, degree(u), [](vid) {}, [&](eid e, vid t) {
+      while (p != pend && p->dst < t) {
         if (p->kind == kAdd) emit(p->dst, p->w_new);
         ++p;
       }
-      assert(pos == offsets[us + 1]);
-    } catch (const std::exception&) {
-      bad.store(true, std::memory_order_relaxed);
+      if (p != pend && p->dst == t) {
+        if (p->kind != kDel) emit(t, p->w_new);
+        ++p;
+        return;
+      }
+      emit(t, weight(e));
+    });
+    while (p != pend) {
+      if (p->kind == kAdd) emit(p->dst, p->w_new);
+      ++p;
     }
+    assert(pos == offsets[us + 1]);
   });
-  if (bad.load()) throw std::runtime_error("corrupt compressed adjacency stream");
 
   Graph g;
   g.n_ = n;

@@ -1,7 +1,6 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 #include <string>
 
@@ -267,24 +266,18 @@ Graph Graph::decompress_adjacency() const {
     return g;
   }
   std::vector<vid> targets(num_arcs());
-  std::atomic<bool> bad{false};
+  // A corrupt chunk throws out of the decode; the pool rethrows it from
+  // parallel_for.
   parallel_for(0, n_, [&](std::size_t vs) {
     const vid v = static_cast<vid>(vs);
     const eid base = begin(v);
     const std::size_t deg = degree(v);
     vid buf[kAdjChunk];
-    // Exceptions must not unwind out of a parallel region; flag and rethrow
-    // after the join.
-    try {
-      for (std::size_t lo = 0, c = 0; lo < deg; lo += kAdjChunk, ++c) {
-        const std::size_t count = decode_adjacency_chunk(v, c, buf);
-        for (std::size_t j = 0; j < count; ++j) targets[base + lo + j] = buf[j];
-      }
-    } catch (const std::exception&) {
-      bad.store(true, std::memory_order_relaxed);
+    for (std::size_t lo = 0, c = 0; lo < deg; lo += kAdjChunk, ++c) {
+      const std::size_t count = decode_adjacency_chunk(v, c, buf);
+      for (std::size_t j = 0; j < count; ++j) targets[base + lo + j] = buf[j];
     }
   });
-  if (bad.load()) throw std::runtime_error("corrupt compressed adjacency stream");
   Graph g = *this;
   g.storage_.targets = ArrayHandle<vid>::adopt(std::move(targets));
   g.storage_.chunk_start.reset();

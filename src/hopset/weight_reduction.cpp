@@ -33,11 +33,11 @@ WeightDecomposition WeightDecomposition::build(const Graph& g, double eps) {
   const std::size_t k = cats.size();  // non-empty categories q(0..k-1)
 
   // Components under each prefix P_{q(j)}.
-  d.comp_at_.resize(k);
+  d.component_at_.resize(k);
   for (std::size_t j = 0; j < k; ++j) {
     std::vector<char> keep(g.num_arcs());
     for (eid e = 0; e < g.num_arcs(); ++e) keep[e] = arc_cat[e] <= cats[j] ? 1 : 0;
-    d.comp_at_[j] = connected_components_filtered(g, keep);
+    d.component_at_[j] = connected_components_filtered(g, keep);
   }
 
   // Level graphs: G[P_{q(j+1)}] / P_{q(j-1)}.
@@ -49,7 +49,7 @@ WeightDecomposition WeightDecomposition::build(const Graph& g, double eps) {
     if (j == 0) {
       for (vid v = 0; v < n; ++v) contract[v] = v;
     } else {
-      contract = d.comp_at_[j - 1];
+      contract = d.component_at_[j - 1];
     }
     vid num_quot = 0;
     for (vid c : contract) num_quot = std::max(num_quot, c + 1);
@@ -81,11 +81,11 @@ WeightDecomposition WeightDecomposition::build(const Graph& g, double eps) {
 
 WeightDecomposition::QueryTarget WeightDecomposition::map_query(vid s, vid t) const {
   QueryTarget q;
-  if (comp_at_.empty()) return q;
+  if (component_at_.empty()) return q;
   // Smallest level j with s,t connected under P_{q(j)} (connectivity is
   // monotone in j, so binary search would work; the level count is tiny).
-  for (std::size_t j = 0; j < comp_at_.size(); ++j) {
-    if (comp_at_[j][s] == comp_at_[j][t]) {
+  for (std::size_t j = 0; j < component_at_.size(); ++j) {
+    if (component_at_[j][s] == component_at_[j][t]) {
       q.level = j;
       q.s = levels_[j].host_to_local[s];
       q.t = levels_[j].host_to_local[t];

@@ -48,8 +48,8 @@ class WeightDecomposition {
  private:
   double base_ = 0;
   std::vector<Level> levels_;
-  /// comp_at_[j][v] = component of v using edges of category <= q(j).
-  std::vector<std::vector<vid>> comp_at_;
+  /// component_at_[j][v] = component of v using edges of category <= q(j).
+  std::vector<std::vector<vid>> component_at_;
 };
 
 }  // namespace parsh

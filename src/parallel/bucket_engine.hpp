@@ -20,7 +20,7 @@
 //  * one pop_round == one synchronous round; flush/pop_round take an
 //    optional TeamLike so their internal parallel move runs as a stage of
 //    the caller's persistent team (parallel/team.hpp) instead of a
-//    fork-join;
+//    drive of its own;
 //  * a degree-aware FrontierRelaxer that schedules one round's edge
 //    relaxations adaptively: bounded EDGE ranges dynamically claimed by
 //    the team's workers (a skewed frontier — one hub vertex carrying most
@@ -167,7 +167,7 @@ class BucketEngine {
     for (std::vector<Staged>& buf : staging_) buf.clear();
     overflow_.clear();
     index_.reset();
-    // The worker count may have been raised (omp_set_num_threads) since
+    // The worker count may have been raised (set_num_workers) since
     // construction; push_from_worker indexes staging_ by worker_id(), so
     // grow the per-worker state to match before the next run.
     const auto workers = static_cast<std::size_t>(num_workers());
@@ -197,8 +197,9 @@ class BucketEngine {
   /// Compact the per-worker staging buffers into the calendar: an
   /// exclusive scan over buffer sizes + parallel move into one contiguous
   /// block, then a single ordered placement pass (no comparisons, no map
-  /// lookups for in-window keys). The fork-join form; inside a persistent
-  /// team pass the team so the move stage runs across it.
+  /// lookups for in-window keys). The standalone form (a parallel_for_grain
+  /// drive of its own); inside a persistent team pass the team so the
+  /// move stage runs across it.
   void flush() {
     flush_moved_([&](std::size_t workers, auto&& move_one) {
       parallel_for_grain(0, workers, 1, move_one);
@@ -239,7 +240,7 @@ class BucketEngine {
   using Staged = std::pair<std::uint64_t, Item>;
 
   /// The flush body, parameterized over how the multi-producer move loop
-  /// is scheduled (fork-join parallel_for_grain vs a persistent-team
+  /// is scheduled (a parallel_for_grain drive vs a persistent-team
   /// stage — same iterations either way).
   template <typename MoveLoop>
   void flush_moved_(MoveLoop&& move_loop) {

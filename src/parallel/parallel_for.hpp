@@ -1,99 +1,18 @@
 // Shared-memory loop parallelism. The PRAM algorithms in this library are
 // expressed as synchronous rounds of flat data-parallel loops; this header
-// provides the loop primitive, backed by OpenMP when available and falling
-// back to a plain sequential loop otherwise (the semantics are identical —
-// iterations must be independent).
+// provides the loop primitives, each a one-stage Team::drive on the
+// worker pool (parallel/team.hpp). At width 1, or when the pool is held by
+// another driver, they are a plain loop on the calling thread (the
+// semantics are identical: iterations must be independent).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <vector>
 
-#ifdef PARSH_HAVE_OPENMP
-#include <omp.h>
-#endif
+#include "parallel/team.hpp"
 
 namespace parsh {
-
-// ---- nested-parallelism diagnostics -----------------------------------------
-//
-// parallel_for / parallel_for_grain / parallel_invoke guard on
-// omp_in_parallel(): reached from inside an existing parallel region (a
-// persistent team, a pool fan-out) they run sequentially, because nested
-// OpenMP regions are disabled. That is the correct *semantics*, but it is
-// also how a forgotten conversion to the team path silently serializes a
-// hot loop. These hooks make it observable: every such silent
-// serialization bumps nested_sequential_calls(), and tests exercising a
-// code path that must never fall through (the persistent-team drain loops
-// route every phase through Team::loop) can turn the event into a hard
-// abort with assert_on_nested_sequential(true).
-
-namespace detail {
-inline std::atomic<std::uint64_t> g_nested_sequential{0};
-inline std::atomic<bool> g_nested_sequential_abort{false};
-
-inline void note_nested_sequential() {
-  g_nested_sequential.fetch_add(1, std::memory_order_relaxed);
-  if (g_nested_sequential_abort.load(std::memory_order_relaxed)) {
-    std::fprintf(stderr,
-                 "parsh: parallel_for reached from inside a parallel region "
-                 "(silent sequential fallback) while "
-                 "assert_on_nested_sequential is armed\n");
-    std::abort();
-  }
-}
-}  // namespace detail
-
-/// Times a parallel loop large enough to go parallel ran sequentially
-/// only because it was reached from inside an existing parallel region.
-/// Cumulative and process-global (relaxed; a debug/diagnostic counter).
-inline std::uint64_t nested_sequential_calls() {
-  return detail::g_nested_sequential.load(std::memory_order_relaxed);
-}
-
-/// Abort (with a message) on the next nested-sequential fallback. Test
-/// hook: arm it around a region that must have no unconverted loops.
-inline void assert_on_nested_sequential(bool on) {
-  detail::g_nested_sequential_abort.store(on, std::memory_order_relaxed);
-}
-
-/// Number of worker threads the runtime will use for parallel loops.
-inline int num_workers() {
-#ifdef PARSH_HAVE_OPENMP
-  return omp_get_max_threads();
-#else
-  return 1;
-#endif
-}
-
-#ifdef PARSH_HAVE_OPENMP
-namespace detail {
-/// Threads a compute-bound fork actually profits from:
-/// min(omp_get_max_threads(), omp_get_num_procs()). Oversubscribing the
-/// affinity mask (OMP_NUM_THREADS above the processor count) turns the
-/// join barrier of every data-parallel loop into context-switch churn;
-/// the cap changes scheduling only, never which iterations run.
-inline int fork_width() {
-  const int procs = omp_get_num_procs();
-  const int want = omp_get_max_threads();
-  return want < procs ? want : procs;
-}
-}  // namespace detail
-#endif
-
-/// Index of the calling worker in [0, num_workers()). 0 outside parallel
-/// regions; inside a parallel_for body it identifies the executing thread,
-/// so per-worker scratch indexed by it is race-free.
-inline int worker_id() {
-#ifdef PARSH_HAVE_OPENMP
-  return omp_get_thread_num();
-#else
-  return 0;
-#endif
-}
 
 /// Per-worker uint64 accumulator for tallies taken inside parallel loops
 /// (work counters, winner counts). One cache-line-padded slot per worker,
@@ -123,76 +42,39 @@ class WorkerCounter {
   std::vector<Slot> slots_;
 };
 
-/// Below this iteration count, parallel_for runs sequentially: spawning
-/// threads for tiny loops costs more than it saves.
+/// Below this iteration count, parallel_for runs sequentially: waking
+/// workers for tiny loops costs more than it saves.
 inline constexpr std::size_t kParallelGrain = 2048;
 
-/// Apply `f(i)` for every i in [begin, end). Iterations must not depend on
-/// each other. `f` is taken by value per thread.
-template <typename F>
-void parallel_for(std::size_t begin, std::size_t end, F f) {
-  if (end <= begin) return;
-#ifdef PARSH_HAVE_OPENMP
-  if (end - begin >= kParallelGrain && omp_get_max_threads() > 1) {
-    if (omp_in_parallel()) {
-      detail::note_nested_sequential();
-    } else if (const int nt = detail::fork_width(); nt > 1) {
-      const auto b = static_cast<std::int64_t>(begin);
-      const auto e = static_cast<std::int64_t>(end);
-#pragma omp parallel for schedule(static) num_threads(nt)
-      for (std::int64_t i = b; i < e; ++i) f(static_cast<std::size_t>(i));
-      return;
-    }
-  }
-#endif
-  for (std::size_t i = begin; i < end; ++i) f(i);
-}
-
-/// parallel_for with an explicit grain size: `grain` is both the minimum
-/// iteration count worth going parallel for and the dynamic chunk handed
-/// to each worker. grain=1 parallelizes even tiny loops whose iterations
-/// are individually heavy (per-center BFS, per-worker buffer moves).
+/// parallel_for with an explicit grain size: `grain` is the dynamic chunk
+/// handed to each worker, and a loop of one chunk runs sequentially.
+/// grain=1 parallelizes even tiny loops whose iterations are individually
+/// heavy (per-center BFS, per-worker buffer moves).
 template <typename F>
 void parallel_for_grain(std::size_t begin, std::size_t end, std::size_t grain, F f) {
-  if (end <= begin) return;
-#ifdef PARSH_HAVE_OPENMP
-  if (end - begin >= grain && omp_get_max_threads() > 1) {
-    if (omp_in_parallel()) {
-      detail::note_nested_sequential();
-    } else if (const int nt = detail::fork_width(); nt > 1) {
-      const auto b = static_cast<std::int64_t>(begin);
-      const auto e = static_cast<std::int64_t>(end);
-      const auto chunk = static_cast<std::int64_t>(grain == 0 ? 1 : grain);
-#pragma omp parallel for schedule(dynamic, chunk) num_threads(nt)
-      for (std::int64_t i = b; i < e; ++i) f(static_cast<std::size_t>(i));
+  if (end > begin && end - begin > grain && num_workers() > 1) {
+    if (!detail::t_in_team) {
+      Team::drive([&](Team& team) { team.loop(begin, end, grain, f); });
       return;
     }
+    detail::note_nested_sequential();
   }
-#endif
   for (std::size_t i = begin; i < end; ++i) f(i);
 }
 
-/// Run two independent tasks, potentially in parallel (fork-join). Used by
-/// the recursive hopset construction to descend into sibling clusters.
-template <typename F1, typename F2>
-void parallel_invoke(F1 f1, F2 f2) {
-#ifdef PARSH_HAVE_OPENMP
-  if (omp_get_max_threads() > 1 && omp_in_parallel()) {
+/// Apply `f(i)` for every i in [begin, end). Iterations must not depend on
+/// each other. Loops of kParallelGrain or more go parallel as one
+/// contiguous block per worker (Team::loop_blocks).
+template <typename F>
+void parallel_for(std::size_t begin, std::size_t end, F f) {
+  if (end > begin && end - begin >= kParallelGrain && num_workers() > 1) {
+    if (!detail::t_in_team) {
+      Team::drive([&](Team& team) { team.loop_blocks(begin, end, f); });
+      return;
+    }
     detail::note_nested_sequential();
   }
-  if (detail::fork_width() > 1 && !omp_in_parallel()) {
-#pragma omp parallel sections num_threads(2)
-    {
-#pragma omp section
-      f1();
-#pragma omp section
-      f2();
-    }
-    return;
-  }
-#endif
-  f1();
-  f2();
+  for (std::size_t i = begin; i < end; ++i) f(i);
 }
 
 }  // namespace parsh

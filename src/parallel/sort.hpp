@@ -3,44 +3,47 @@
 #pragma once
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
-#include "parallel/parallel_for.hpp"
+#include "parallel/team.hpp"
 
 namespace parsh {
 
-namespace detail {
-
-template <typename It, typename Cmp>
-void merge_sort_rec(It begin, It end, typename std::iterator_traits<It>::value_type* buf,
-                    Cmp cmp, int levels) {
-  const auto n = static_cast<std::size_t>(end - begin);
-  if (levels <= 0 || n < 8192) {
-    std::sort(begin, end, cmp);
-    return;
-  }
-  It mid = begin + static_cast<std::ptrdiff_t>(n / 2);
-  parallel_invoke([&] { merge_sort_rec(begin, mid, buf, cmp, levels - 1); },
-                  [&] { merge_sort_rec(mid, end, buf + n / 2, cmp, levels - 1); });
-  std::merge(begin, mid, mid, end, buf, cmp);
-  std::copy(buf, buf + n, begin);
-}
-
-}  // namespace detail
-
-/// Sort `v` with comparator `cmp`, splitting the work across threads.
-/// Stable within each leaf (std::sort) but not globally stable.
+/// Sort `v` with comparator `cmp`, splitting the work across the pool:
+/// one stage sorts one block per worker, then ceil(log2 width) stages
+/// merge neighbouring runs in pairs. Not stable: elements that compare
+/// equal may end in any order.
 template <typename T, typename Cmp = std::less<T>>
 void parallel_sort(std::vector<T>& v, Cmp cmp = Cmp{}) {
   if (v.size() < 8192 || num_workers() == 1) {
     std::sort(v.begin(), v.end(), cmp);
     return;
   }
-  std::vector<T> buf(v.size());
-  int levels = 0;
-  for (int w = num_workers(); (1 << levels) < w; ++levels) {
-  }
-  detail::merge_sort_rec(v.begin(), v.end(), buf.data(), cmp, levels + 1);
+  Team::drive([&](Team& team) {
+    const auto blocks = static_cast<std::size_t>(team.size());
+    const auto at = [&](std::vector<T>& x, std::size_t b) {
+      return x.begin() + static_cast<std::ptrdiff_t>(v.size() * std::min(b, blocks) / blocks);
+    };
+    std::size_t stages = 0;
+    while ((std::size_t{1} << stages) < blocks) ++stages;
+    std::vector<T> buf(blocks > 1 ? v.size() : 0);
+    // Sort the blocks in the buffer the merges alternate away from, so the
+    // last merge stage writes into v.
+    std::vector<T>* from = stages % 2 == 1 ? &buf : &v;
+    std::vector<T>* to = stages % 2 == 1 ? &v : &buf;
+    team.loop(0, blocks, 1, [&](std::size_t b) {
+      if (from != &v) std::copy(at(v, b), at(v, b + 1), at(*from, b));
+      std::sort(at(*from, b), at(*from, b + 1), cmp);
+    });
+    for (std::size_t run = 1; run < blocks; run *= 2, std::swap(from, to)) {
+      team.loop(0, (blocks + 2 * run - 1) / (2 * run), 1, [&](std::size_t p) {
+        const std::size_t lo = 2 * p * run;
+        std::merge(at(*from, lo), at(*from, lo + run), at(*from, lo + run),
+                   at(*from, lo + 2 * run), at(*to, lo), cmp);
+      });
+    }
+  });
 }
 
 }  // namespace parsh

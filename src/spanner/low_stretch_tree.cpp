@@ -70,14 +70,14 @@ TreeResult akpw_low_stretch_tree(const Graph& g, double k, std::uint64_t seed) {
     while (progressed && !active.empty()) {
       progressed = false;
       // Build the quotient multigraph of active edges on DSU components.
-      std::vector<vid> comp_local(n, kNoVertex);
+      std::vector<vid> component_local(n, kNoVertex);
       std::vector<vid> locals;
       auto local_of = [&](vid c) {
-        if (comp_local[c] == kNoVertex) {
-          comp_local[c] = static_cast<vid>(locals.size());
+        if (component_local[c] == kNoVertex) {
+          component_local[c] = static_cast<vid>(locals.size());
           locals.push_back(c);
         }
-        return comp_local[c];
+        return component_local[c];
       };
       std::map<std::pair<vid, vid>, Edge> rep;
       std::vector<Edge> still_active;

@@ -144,14 +144,14 @@ SpannerResult well_separated_spanner_ws(vid n,
     // weights. Vertices: contracted components touched by this bucket,
     // relabelled densely. Each quotient edge keeps one representative
     // original edge (min (u,v,w) for determinism).
-    std::vector<vid> comp_of_host(n, kNoVertex);  // host component -> local id
+    std::vector<vid> component_of_host(n, kNoVertex);  // host component -> local id
     std::vector<vid> locals;                      // local id -> host component
     auto local_of = [&](vid host_comp) {
-      if (comp_of_host[host_comp] == kNoVertex) {
-        comp_of_host[host_comp] = static_cast<vid>(locals.size());
+      if (component_of_host[host_comp] == kNoVertex) {
+        component_of_host[host_comp] = static_cast<vid>(locals.size());
         locals.push_back(host_comp);
       }
-      return comp_of_host[host_comp];
+      return component_of_host[host_comp];
     };
     std::map<std::pair<vid, vid>, Edge> rep;  // quotient edge -> original edge
     for (const Edge& e : bucket) {

@@ -20,7 +20,7 @@
 // long-lived server thread reuses one workspace across requests and warm
 // queries perform zero traversal-engine heap allocations. query_batch is
 // the request-batch form: sequential over one workspace, or parallel
-// across a workspace pool (one workspace per OpenMP worker).
+// across a workspace pool (one workspace per pool worker).
 #pragma once
 
 #include <algorithm>

@@ -30,7 +30,7 @@
 // until the next run on the same workspace begins. Not thread-safe across
 // concurrent driver calls: one workspace per call chain. For parallel
 // fan-outs (the hopset's per-center weighted BFS, batched queries) use
-// SsspWorkspacePool, which keeps one workspace per OpenMP worker.
+// SsspWorkspacePool, which keeps one workspace per pool worker.
 #pragma once
 
 #include <atomic>
@@ -162,14 +162,14 @@ class SsspWorkspace : public RoundScheduler {
   std::atomic<std::uint64_t> scratch_allocs_{0};
 };
 
-/// One SsspWorkspace per OpenMP worker, for parallel fan-outs whose
+/// One SsspWorkspace per pool worker, for parallel fan-outs whose
 /// iterations each run a sequential traversal: the hopset's per-center
 /// weighted BFS, Cohen-baseline landmark searches, batched queries.
 /// Workspaces live in a deque so growing the pool never moves (immovable)
 /// existing workspaces.
 ///
 /// Two access modes, not to be mixed concurrently:
-///  * worker-affine (`local()`): inside an OpenMP fan-out, each worker
+///  * worker-affine (`local()`): inside a parallel loop, each worker
 ///    indexes its own slot — no locking, the historical mode;
 ///  * serving (`checkout()`/Lease): external threads (the query server's
 ///    std::thread workers) borrow a workspace from a free list under a
@@ -183,7 +183,7 @@ class SsspWorkspacePool {
   SsspWorkspacePool() { prepare(); }
 
   /// Ensure one workspace per current worker. Must be called from
-  /// sequential context (the pool grows if omp_set_num_threads raised the
+  /// sequential context (the pool grows if set_num_workers raised the
   /// worker count since construction).
   void prepare() {
     const auto workers = static_cast<std::size_t>(num_workers());

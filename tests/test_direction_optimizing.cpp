@@ -72,7 +72,7 @@ TEST_P(DirectionOptimizing, EstClusterPushVsPullAcrossWidths) {
       EstClusterWorkspace ws;
       ws.set_round_policy(kPull);
       const Clustering pulled =
-          at_width(width, [&] { return est_cluster(g, 0.5, GetParam(), ws); });
+          at_threads(width, [&] { return est_cluster(g, 0.5, GetParam(), ws); });
       EXPECT_GT(ws.pull_rounds(), 0u) << name << " @" << width;
       EXPECT_GT(ws.pull_edges_scanned(), 0u) << name << " @" << width;
       expect_same_clustering(pulled, pushed);
@@ -96,7 +96,7 @@ TEST_P(DirectionOptimizing, OrganicHysteresisFlipsAndMatchesForcedRuns) {
     // Naming the direction overrides a PARSH_FORCE_PULL env default.
     ws.set_round_policy({.direction = RoundPolicy::Direction::kAuto});
     const Clustering organic =
-        at_width(width, [&] { return est_cluster(g, 0.5, GetParam(), ws); });
+        at_threads(width, [&] { return est_cluster(g, 0.5, GetParam(), ws); });
     EXPECT_GT(ws.pull_rounds(), 0u) << "@" << width;
     EXPECT_LT(ws.pull_rounds(), pushed.rounds) << "@" << width;  // sparse rounds stayed push
     expect_same_clustering(organic, pushed);

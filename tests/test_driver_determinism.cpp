@@ -167,7 +167,7 @@ TEST_P(DriverDeterminism, ApproxQueryAll) {
 // --- round scheduling: every driver's drain loop runs inside one
 // --- persistent team with an adaptive sequential round fast path. Output
 // --- must be bit-identical across (a) one thread vs a real 4-wide team
-// --- (at_width forces the width, so the stages race even on hosts with
+// --- (at_threads sets the pool width, so the stages race even on hosts with
 // --- fewer processors), (b) adaptive sequential rounds vs every round
 // --- through the team stages (RoundPolicy::Rounds::kAllParallel), and
 // --- (c) every combination. The baseline is the default policy at one
@@ -211,7 +211,7 @@ TEST_P(TeamRounds, EstClusterWideTeamVsOneThread) {
   // Team::loop, so arm the abort hook for the duration.
   assert_on_nested_sequential(true);
   const Clustering team =
-      at_width(4, [&] { return est_cluster(g, 0.5, GetParam(), team_ws); });
+      at_threads(4, [&] { return est_cluster(g, 0.5, GetParam(), team_ws); });
   assert_on_nested_sequential(false);
   expect_same_clustering(team, baseline);
   // The round classes are decided by round contents, not the schedule.
@@ -227,7 +227,7 @@ TEST_P(TeamRounds, EstClusterSequentialVsParallelRounds) {
     EstClusterWorkspace forced;
     forced.set_round_policy(kAllParallel);
     const Clustering out =
-        at_width(width, [&] { return est_cluster(g, 0.5, GetParam(), forced); });
+        at_threads(width, [&] { return est_cluster(g, 0.5, GetParam(), forced); });
     EXPECT_EQ(forced.sequential_rounds(), 0u);
     EXPECT_GT(forced.team_rounds(), 0u);
     expect_same_clustering(out, baseline);
@@ -252,14 +252,14 @@ TEST_P(TeamRounds, HopLimitedUnitWeightsAcrossAllSchedulingModes) {
   EXPECT_GT(one_ws.team_rounds(), 0u);
   SsspWorkspace ws;
   assert_on_nested_sequential(true);
-  EXPECT_EQ(at_width(4, [&] { return sweep(ws); }), baseline);
+  EXPECT_EQ(at_threads(4, [&] { return sweep(ws); }), baseline);
   assert_on_nested_sequential(false);
   EXPECT_EQ(ws.sequential_rounds(), one_ws.sequential_rounds());
   EXPECT_EQ(ws.team_rounds(), one_ws.team_rounds());
   for (int width : {1, 4}) {
     SsspWorkspace par_ws;
     par_ws.set_round_policy(kAllParallel);
-    EXPECT_EQ(at_width(width, [&] { return sweep(par_ws); }), baseline);
+    EXPECT_EQ(at_threads(width, [&] { return sweep(par_ws); }), baseline);
     EXPECT_EQ(par_ws.sequential_rounds(), 0u);
   }
 }
@@ -281,7 +281,7 @@ TEST_P(TeamRounds, HopLimitedAcrossAllSchedulingModes) {
     for (const RoundPolicy& policy : {RoundPolicy{}, kAllParallel}) {
       SsspWorkspace ws;
       ws.set_round_policy(policy);
-      const auto stats = at_width(
+      const auto stats = at_threads(
           width, [&] { return hop_limited_sssp(g, 0, 24, kInfWeight, ws); });
       EXPECT_EQ(stats.rounds, baseline.rounds);
       EXPECT_EQ(stats.relaxations, baseline.relaxations);
@@ -337,7 +337,7 @@ TEST_P(TeamRounds, TargetBoundedSweepAndQueryAcrossWidthsPoliciesAndStorage) {
       SsspWorkspace ws;
       ws.set_round_policy(policy);
       assert_on_nested_sequential(true);
-      const auto stats = at_width(4, [&] {
+      const auto stats = at_threads(4, [&] {
         return hop_limited_sssp(*g, 0, 24, kInfWeight, ws, Deadline::never(), t);
       });
       assert_on_nested_sequential(false);
@@ -348,7 +348,7 @@ TEST_P(TeamRounds, TargetBoundedSweepAndQueryAcrossWidthsPoliciesAndStorage) {
     for (const ApproxShortestPaths* e : {&engine, &packed}) {
       SsspWorkspace ws;
       ws.set_round_policy(policy);
-      const auto got = at_width(4, [&] { return e->query(qs, qt, ws); });
+      const auto got = at_threads(4, [&] { return e->query(qs, qt, ws); });
       EXPECT_EQ(got.estimate, want.estimate);
       EXPECT_EQ(got.scale_used, want.scale_used);
       EXPECT_EQ(got.rounds, want.rounds);
@@ -389,12 +389,12 @@ TEST_P(TeamRounds, DynamicRebuildAcrossWidthsAndPolicies) {
     EXPECT_EQ(r.rounds, baseline.rounds) << what;
     EXPECT_EQ(r.relaxations, baseline.relaxations) << what;
   };
-  check(at_width(4, [&] { return run(flat, {}, false); }), "4-wide organic");
-  check(at_width(4, [&] { return run(flat, kAllParallel, false); }),
+  check(at_threads(4, [&] { return run(flat, {}, false); }), "4-wide organic");
+  check(at_threads(4, [&] { return run(flat, kAllParallel, false); }),
         "4-wide all-parallel");
-  check(at_width(4, [&] { return run(flat, {}, true); }), "4-wide forced-full");
+  check(at_threads(4, [&] { return run(flat, {}, true); }), "4-wide forced-full");
   check(at_threads(1, [&] { return run(compressed, {}, false); }), "1t compressed");
-  check(at_width(4, [&] { return run(compressed, kAllParallel, true); }),
+  check(at_threads(4, [&] { return run(compressed, kAllParallel, true); }),
         "4-wide compressed all-parallel forced-full");
 }
 

@@ -13,7 +13,7 @@
 // bit-identically (estimate, rounds, relaxations, scale), and
 // periodically (c) a from-scratch ApproxShortestPaths over the current
 // graph agrees too. The whole run is hashed into a digest and repeated at
-// 1 and 4 OpenMP threads: equal digests pin thread-count determinism of
+// 1 and 4 worker threads: equal digests pin thread-count determinism of
 // the rebuild path end to end.
 //
 // Every round is wrapped in SCOPED_TRACE carrying (topology, seed,

@@ -135,17 +135,12 @@ TEST(EstCluster, DeterministicAcrossThreadCounts) {
   const Graph g = with_uniform_weights(
       ensure_connected(make_random_graph(400, 1600, 11)), 1, 5, 17);
   Clustering one, many;
-#ifdef PARSH_HAVE_OPENMP
-  const int before = omp_get_max_threads();
-  omp_set_num_threads(1);
+  const int before = num_workers();
+  set_num_workers(1);
   one = est_cluster(g, 0.3, 123);
-  omp_set_num_threads(std::max(4, before));
+  set_num_workers(std::max(4, before));
   many = est_cluster(g, 0.3, 123);
-  omp_set_num_threads(before);
-#else
-  one = est_cluster(g, 0.3, 123);
-  many = est_cluster(g, 0.3, 123);
-#endif
+  set_num_workers(before);
   EXPECT_EQ(one.cluster_of, many.cluster_of);
   EXPECT_EQ(one.center, many.center);
   EXPECT_EQ(one.parent, many.parent);
@@ -175,15 +170,13 @@ TEST(EstClusterWorkspace, ReusedAcrossGraphsMatchesFreshRuns) {
 TEST(EstClusterWorkspace, WarmIdenticalCallDoesZeroEngineAllocations) {
   // Re-running the same (graph, beta, seed) through one workspace repeats
   // the same bucket schedule inside already-grown buffers. Pinned to one
-  // worker: at >1 workers OpenMP's dynamic expansion scheduling jitters
+  // worker: at >1 workers the dynamic expansion scheduling jitters
   // which worker stages which edge, so per-worker staging high-waters can
   // shift a little between identical runs — the multi-thread reuse
   // guarantee (with the quotient loop's natural demand slack) is pinned
   // by ClusterConnectivity.WarmQuotientRoundsDoZeroEngineAllocations.
-#ifdef PARSH_HAVE_OPENMP
-  const int before = omp_get_max_threads();
-  omp_set_num_threads(1);
-#endif
+  const int before = num_workers();
+  set_num_workers(1);
   const Graph g = with_uniform_weights(
       ensure_connected(make_random_graph(2000, 8000, 5)), 1, 6, 7);
   EstClusterWorkspace ws;
@@ -195,28 +188,24 @@ TEST(EstClusterWorkspace, WarmIdenticalCallDoesZeroEngineAllocations) {
   EXPECT_EQ(ws.engine_alloc_events(), warm);
   EXPECT_EQ(ws.array_grow_events(), 1u);
   EXPECT_EQ(first.cluster_of, second.cluster_of);
-#ifdef PARSH_HAVE_OPENMP
-  omp_set_num_threads(before);
-#endif
+  set_num_workers(before);
 }
 
 TEST(EstClusterWorkspace, SurvivesWorkerCountRaiseAfterConstruction) {
   // A long-lived workspace sizes its per-worker scratch at construction;
-  // raising the OpenMP thread count afterwards must regrow it instead of
+  // raising the worker count afterwards must regrow it instead of
   // letting worker_id() index out of bounds.
-#ifdef PARSH_HAVE_OPENMP
-  const int before = omp_get_max_threads();
-  omp_set_num_threads(1);
+  const int before = num_workers();
+  set_num_workers(1);
   EstClusterWorkspace ws;
   const Graph g = ensure_connected(make_random_graph(3000, 9000, 8));
   const Clustering narrow = est_cluster(g, 0.3, 5, ws);
-  omp_set_num_threads(std::max(4, before));
+  set_num_workers(std::max(4, before));
   const Clustering wide = est_cluster(g, 0.3, 5, ws);
-  omp_set_num_threads(before);
+  set_num_workers(before);
   EXPECT_EQ(narrow.cluster_of, wide.cluster_of);
   EXPECT_EQ(narrow.parent, wide.parent);
   EXPECT_EQ(narrow.dist_to_center, wide.dist_to_center);
-#endif
 }
 
 /// Fraction of vertices whose settled key s_center + dist(center, v) lies

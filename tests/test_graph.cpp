@@ -269,16 +269,11 @@ TEST(Graph, FromEdgesBitIdenticalAcrossThreadCounts) {
   }
   auto build = [&] { return Graph::from_edges(n, edges); };
   auto run_at = [&](int threads) {
-#ifdef PARSH_HAVE_OPENMP
-    const int before = omp_get_max_threads();
-    omp_set_num_threads(threads);
+    const int before = num_workers();
+    set_num_workers(threads);
     Graph g = build();
-    omp_set_num_threads(before);
+    set_num_workers(before);
     return g;
-#else
-    (void)threads;
-    return build();
-#endif
   };
   const Graph one = run_at(1);
   const Graph many = run_at(4);

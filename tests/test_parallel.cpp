@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "parallel/atomics.hpp"
@@ -14,6 +16,7 @@
 #include "parallel/team.hpp"
 #include "parallel/work_depth.hpp"
 #include "random/rng.hpp"
+#include "thread_scope.hpp"
 
 namespace parsh {
 namespace {
@@ -98,8 +101,15 @@ TEST_P(PrimitivesSizes, ParallelSortSortsLikeStdSort) {
   for (std::size_t i = 0; i < n; ++i) v[i] = rng.bits(i);
   auto expect = v;
   std::sort(expect.begin(), expect.end());
+  auto wide = v;
   parallel_sort(v);
   EXPECT_EQ(v, expect);
+  // At width 4 the blocks and merges are stages of one drive: no call
+  // falls back as nested.
+  const std::uint64_t nested = nested_sequential_calls();
+  at_threads(4, [&] { parallel_sort(wide); });
+  EXPECT_EQ(wide, expect);
+  EXPECT_EQ(nested_sequential_calls(), nested);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, PrimitivesSizes,
@@ -118,13 +128,6 @@ TEST(ParallelFor, EmptyAndReversedRangesDoNothing) {
   parallel_for(5, 5, [&](std::size_t) { ran = true; });
   parallel_for(7, 3, [&](std::size_t) { ran = true; });
   EXPECT_FALSE(ran);
-}
-
-TEST(ParallelInvoke, RunsBothTasks) {
-  std::atomic<int> a{0}, b{0};
-  parallel_invoke([&] { a.store(1); }, [&] { b.store(2); });
-  EXPECT_EQ(a.load(), 1);
-  EXPECT_EQ(b.load(), 2);
 }
 
 TEST(Atomics, WriteMinOnlyLowers) {
@@ -173,29 +176,32 @@ TEST(ParallelSort, CustomComparatorDescending) {
   std::vector<int> v{3, 1, 4, 1, 5, 9, 2, 6};
   parallel_sort(v, std::greater<int>{});
   EXPECT_TRUE(std::is_sorted(v.begin(), v.end(), std::greater<int>{}));
+  // Widths with an odd block count leave a run without a partner in
+  // some merge stage.
+  Rng rng(77);
+  std::vector<std::uint64_t> big(200000);
+  for (std::size_t i = 0; i < big.size(); ++i) big[i] = rng.bits(i) % 1000;
+  auto expect = big;
+  std::sort(expect.begin(), expect.end(), std::greater<>{});
+  const std::uint64_t nested = nested_sequential_calls();
+  for (const int width : {2, 3, 4, 5}) {
+    auto got = big;
+    at_threads(width, [&] { parallel_sort(got, std::greater<>{}); });
+    EXPECT_EQ(got, expect) << width;
+  }
+  EXPECT_EQ(nested_sequential_calls(), nested);
 }
 
-/// Forces a real 4-wide persistent team (even on hosts with fewer
-/// processors, where the automatic width would collapse to sequential)
-/// so the stage publish/claim/barrier machinery is actually raced. The
-/// forced width is clamped to omp_get_max_threads() (it sizes every
-/// consumer's per-worker scratch), so the OpenMP thread count is raised
-/// alongside and restored afterwards.
+/// Runs every drive on a real 4-wide persistent team (even on hosts with
+/// fewer processors) so the stage publish/claim/barrier machinery is
+/// actually raced. The width is restored afterwards.
 class TeamMachinery : public ::testing::Test {
  protected:
   void SetUp() override {
-#ifdef PARSH_HAVE_OPENMP
-    threads_before_ = omp_get_max_threads();
-    omp_set_num_threads(4);
-#endif
-    Team::force_width(4);
+    threads_before_ = num_workers();
+    set_num_workers(4);
   }
-  void TearDown() override {
-    Team::force_width(0);
-#ifdef PARSH_HAVE_OPENMP
-    omp_set_num_threads(threads_before_);
-#endif
-  }
+  void TearDown() override { set_num_workers(threads_before_); }
 
  private:
   int threads_before_ = 1;
@@ -259,20 +265,114 @@ TEST_F(TeamMachinery, NestedDriveMatchesPersistent) {
 
 TEST_F(TeamMachinery, NestedParallelForInsideTeamIsCounted) {
   const std::uint64_t before = nested_sequential_calls();
-#ifdef PARSH_HAVE_OPENMP
-  if (omp_get_max_threads() > 1) {
-    // A big parallel_for reached from inside the persistent region
-    // silently serializes — the counter must record it (the seam the
-    // drivers' Team::loop conversions must never fall through).
+  // A big parallel_for reached from inside the persistent team silently
+  // serializes — the counter must record it (the seam the drivers'
+  // Team::loop conversions must never fall through).
+  Team::drive([&](Team& team) {
+    team.loop(0, 1, 1, [&](std::size_t) {
+      parallel_for(0, 4 * kParallelGrain, [](std::size_t) {});
+    });
+  });
+  EXPECT_GT(nested_sequential_calls(), before);
+}
+
+TEST_F(TeamMachinery, PoolFollowsTheWidthAndWorkerIdsStayBelowIt) {
+  // The pool grows and shrinks with the width between drives; every stage
+  // body sees a worker_id() below the width it was driven at.
+  for (const int width : {4, 2, 3, 4, 1, 4}) {
+    set_num_workers(width);
+    std::atomic<int> max_id{0};
     Team::drive([&](Team& team) {
-      team.loop(0, 1, 1, [&](std::size_t) {
-        parallel_for(0, 4 * kParallelGrain, [](std::size_t) {});
+      EXPECT_EQ(team.persistent(), width > 1);
+      EXPECT_EQ(team.size(), width);
+      team.loop(0, 20000, 16, [&](std::size_t) {
+        int seen = max_id.load(std::memory_order_relaxed);
+        while (worker_id() > seen && !max_id.compare_exchange_weak(seen, worker_id())) {
+        }
       });
     });
-    EXPECT_GT(nested_sequential_calls(), before);
+    EXPECT_LT(max_id.load(), width);
   }
-#endif
-  EXPECT_GE(nested_sequential_calls(), before);
+}
+
+TEST_F(TeamMachinery, LoopBlocksRunsBlockTOnWorkerT) {
+  // The static schedule parallel_for relies on: one contiguous block per
+  // worker, so per-worker staging gets the same share on every run.
+  constexpr std::size_t kItems = 4003;  // blocks of 1001, the last short
+  std::vector<int> ran_on(kItems, -1);
+  Team::drive([&](Team& team) {
+    ASSERT_TRUE(team.persistent());
+    for (int rep = 0; rep < 20; ++rep) {
+      team.loop_blocks(0, kItems, [&](std::size_t i) { ran_on[i] = worker_id(); });
+      for (std::size_t i = 0; i < kItems; ++i) {
+        ASSERT_EQ(ran_on[i], static_cast<int>(i / 1001)) << i;
+      }
+    }
+  });
+}
+
+TEST_F(TeamMachinery, ThrowsPropagateAndReleaseThePool) {
+  // From the driver, and from a stage body on whichever thread claims
+  // the failing index: the exception leaves Team::drive, and the owner
+  // flag is released, so the next drive still gets the whole pool.
+  EXPECT_THROW(Team::drive([&](Team& team) {
+                 EXPECT_TRUE(team.persistent());
+                 team.loop(0, 1000, 10, [](std::size_t) {});
+                 throw std::runtime_error("driver failed");
+               }),
+               std::runtime_error);
+  EXPECT_THROW(Team::drive([&](Team& team) {
+                 team.loop(0, 10000, 1, [](std::size_t i) {
+                   if (i == 7777) throw std::runtime_error("body failed");
+                 });
+               }),
+               std::runtime_error);
+  constexpr std::size_t kItems = 10000;
+  std::vector<std::atomic<int>> hits(kItems);
+  for (auto& h : hits) h.store(0, std::memory_order_relaxed);
+  Team::drive([&](Team& team) {
+    EXPECT_TRUE(team.persistent());
+    EXPECT_EQ(team.size(), 4);
+    team.loop(0, kItems, 64, [&](std::size_t i) {
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  for (std::size_t i = 0; i < kItems; ++i) ASSERT_EQ(hits[i].load(), 1) << i;
+}
+
+TEST_F(TeamMachinery, ConcurrentDriversShareOnePool) {
+  // Two threads drive and run parallel_for at once: one of them owns the
+  // pool at a time, the other runs inline, and both outputs are exact.
+  constexpr std::size_t kItems = 20000;
+  constexpr int kReps = 30;
+  std::atomic<int> persistent_now{0};
+  std::atomic<int> persistent_max{0};
+  auto job = [&](std::vector<std::uint64_t>& out) {
+    for (int rep = 0; rep < kReps; ++rep) {
+      Team::drive([&](Team& team) {
+        if (team.persistent()) {
+          const int now = persistent_now.fetch_add(1) + 1;
+          int seen = persistent_max.load();
+          while (now > seen && !persistent_max.compare_exchange_weak(seen, now)) {
+          }
+        }
+        team.loop(0, kItems, 64, [&](std::size_t i) { out[i] += i; });
+        if (team.persistent()) persistent_now.fetch_sub(1);
+      });
+      parallel_for(0, kItems, [&](std::size_t i) { out[i] += 1; });
+    }
+  };
+  std::vector<std::uint64_t> a(kItems, 0);
+  std::vector<std::uint64_t> b(kItems, 0);
+  std::thread ta(job, std::ref(a));
+  std::thread tb(job, std::ref(b));
+  ta.join();
+  tb.join();
+  EXPECT_LE(persistent_max.load(), 1);
+  for (std::size_t i = 0; i < kItems; ++i) {
+    ASSERT_EQ(a[i], kReps * (i + 1)) << i;
+    ASSERT_EQ(b[i], kReps * (i + 1)) << i;
+  }
 }
 
 TEST(ParallelSort, AlreadySortedAndAllEqualInputs) {

@@ -168,10 +168,8 @@ TEST(SsspWorkspace, WarmRepeatCallsDoZeroWorkspaceAllocations) {
   // which worker's staging buffer a winner lands in is schedule-dependent
   // at higher thread counts, so the per-worker high-water marks — and
   // with them the exact allocation count — are only reproducible here.
-#ifdef PARSH_HAVE_OPENMP
-  const int before = omp_get_max_threads();
-  omp_set_num_threads(1);
-#endif
+  const int before = num_workers();
+  set_num_workers(1);
   const Graph g = with_uniform_weights(
       ensure_connected(make_random_graph(500, 2000, 12)), 1, 9, 13);
   SsspWorkspace ws;
@@ -187,9 +185,7 @@ TEST(SsspWorkspace, WarmRepeatCallsDoZeroWorkspaceAllocations) {
   const auto warm = run_family();
   EXPECT_EQ(ws.alloc_events(), after_cold);
   EXPECT_EQ(cold, warm);
-#ifdef PARSH_HAVE_OPENMP
-  omp_set_num_threads(before);
-#endif
+  set_num_workers(before);
 }
 
 TEST(SsspWorkspace, ResultsReadableInPlaceUntilNextRun) {

@@ -72,10 +72,8 @@ TEST(QueryBatch, WarmBatchDoesZeroWorkspaceAllocationsOn1MEdgeRmat) {
   // parallel rounds stage improvers in per-worker lists, whose high-water
   // marks are schedule-dependent at >1 workers (same caveat as the delta
   // and est_cluster Warm tests).
-#ifdef PARSH_HAVE_OPENMP
-  const int threads_before = omp_get_max_threads();
-  omp_set_num_threads(1);
-#endif
+  const int threads_before = num_workers();
+  set_num_workers(1);
   const Graph g = ensure_connected(make_rmat(120000, 1120000, 7));
   ASSERT_GE(g.num_edges(), 1000000u);
   ApproxShortestPaths::Params p;
@@ -97,9 +95,7 @@ TEST(QueryBatch, WarmBatchDoesZeroWorkspaceAllocationsOn1MEdgeRmat) {
     EXPECT_EQ(cold[i].estimate, warm[i].estimate) << i;
     EXPECT_EQ(cold[i].rounds, warm[i].rounds) << i;
   }
-#ifdef PARSH_HAVE_OPENMP
-  omp_set_num_threads(threads_before);
-#endif
+  set_num_workers(threads_before);
 }
 
 }  // namespace

@@ -135,7 +135,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, WorkStealing, ::testing::Values<std::uint64_t>(1
 // --- check, and too slow under instrumentation).
 
 // Pinned to one worker, like every identical-rerun Warm test: at >1
-// workers OpenMP's dynamic scheduling jitters which worker stages which
+// workers the dynamic stage scheduling jitters which worker stages which
 // edge, so per-worker staging high-waters can shift a little between
 // identical runs. The relaxer's prefix scratch itself is sized by the
 // frontier — schedule-independent — but the engine counters it is
