@@ -8,7 +8,7 @@
 #include "graph/subgraph.hpp"
 #include "parallel/parallel_for.hpp"
 #include "sssp/sssp_workspace.hpp"
-#include "sssp/weighted_bfs.hpp"
+#include "sssp/st_sweep.hpp"
 
 namespace parsh {
 
@@ -112,21 +112,26 @@ void hopset_recurse(const Subgraph& sub, double beta, std::uint64_t level,
         ++out.star_edges;
       }
       // Line 9: clique edges between large-cluster centers, weight =
-      // exact distance within this subgraph (one weighted BFS per center;
-      // [UY91]-style parallel BFS in the PRAM reading).
-      std::vector<vid> centers(large_clusters.size());
-      for (std::size_t i = 0; i < large_clusters.size(); ++i) {
-        centers[i] = c.center[large_clusters[i]];
-      }
-      std::vector<WeightedBfsResult> from_center(centers.size());
+      // exact distance within this subgraph (one weighted BFS per center:
+      // an untargeted st_sweep, [UY91]-style parallel BFS in the PRAM
+      // reading). The graph's integer weights were checked at entry, and
+      // induced subgraphs keep them. Only the distances to later centers
+      // are read out of the workspace: row i of `dist` holds them.
+      const std::size_t k = large_clusters.size();
+      std::vector<vid> centers(k);
+      for (std::size_t i = 0; i < k; ++i) centers[i] = c.center[large_clusters[i]];
+      std::vector<weight_t> dist(k * k);
+      std::vector<std::uint64_t> keys(k);
       ctx.sssp->prepare();
-      parallel_for_grain(0, centers.size(), 1, [&](std::size_t i) {
-        from_center[i] = weighted_bfs(g, centers[i], kInfWeight, ctx.sssp->local());
+      parallel_for_grain(0, k, 1, [&](std::size_t i) {
+        SsspWorkspace& ws = ctx.sssp->local();
+        keys[i] = st_sweep(g, centers[i], kNoVertex, kInfWeight, ws).keys;
+        for (std::size_t j = i + 1; j < k; ++j) dist[i * k + j] = ws.dist_of(centers[j]);
       });
-      for (std::size_t i = 0; i < centers.size(); ++i) {
-        out.rounds += from_center[i].rounds;
-        for (std::size_t j = i + 1; j < centers.size(); ++j) {
-          const weight_t d = from_center[i].dist[centers[j]];
+      for (std::size_t i = 0; i < k; ++i) {
+        out.rounds += keys[i];
+        for (std::size_t j = i + 1; j < k; ++j) {
+          const weight_t d = dist[i * k + j];
           if (d == kInfWeight) continue;  // different components
           out.edges.push_back(
               {sub.original_id[centers[i]], sub.original_id[centers[j]], d});

@@ -5,8 +5,8 @@
 // shape: items carry an integer "time" key, the least pending key is
 // processed as one synchronous round, and the round's expansion emits items
 // into the same or strictly later keys. EST clustering (proposals keyed by
-// floor(start + dist)) and the Dial search of weighted BFS are both
-// instances.
+// floor(start + dist)) is its consumer; the sequential Dial search of
+// weighted BFS and the s-t query run on st_sweep's own queue instead.
 // This engine owns that shape once so the consumers stay thin:
 //
 //  * a circular calendar of `span` open buckets (key modulo span), plus an

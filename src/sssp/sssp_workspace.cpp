@@ -5,15 +5,14 @@
 namespace parsh {
 
 SsspWorkspace::SsspWorkspace()
-    : frontier_engine_({.span = 256}),
-      newly_local_(static_cast<std::size_t>(num_workers())),
+    : newly_local_(static_cast<std::size_t>(num_workers())),
       touched_local_(static_cast<std::size_t>(num_workers())),
       offset_(static_cast<std::size_t>(num_workers())) {}
 
 void SsspWorkspace::ensure_vertices_(vid n) {
-  // The worker count may have been raised since construction (the engine
-  // handles its own staging in reset()); the per-worker winner lists and
-  // scan scratch are indexed by worker_id() and must cover it too.
+  // The worker count may have been raised since construction; the
+  // per-worker winner lists and scan scratch are indexed by worker_id()
+  // and must cover it.
   const auto workers = static_cast<std::size_t>(num_workers());
   if (workers > newly_local_.size()) {
     newly_local_.resize(workers);
@@ -25,8 +24,6 @@ void SsspWorkspace::ensure_vertices_(vid n) {
   // Geometric headroom: iterated callers whose graphs creep upwards pay
   // O(log n) reallocations, not one per new high-water mark.
   const std::size_t cap = std::max<std::size_t>(n, 2 * vertex_capacity_);
-  parent_.resize(cap);
-  owner_.resize(cap);
   // std::atomic is immovable, so the dist array is reconstructed at the
   // new size; the rebuild restores the all-infinite invariant the runs
   // rely on.

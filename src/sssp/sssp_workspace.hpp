@@ -1,18 +1,16 @@
 // Reusable traversal workspace for the SSSP family.
 //
-// Every traversal driver in src/sssp/ — the Dial search of weighted BFS,
-// hop-limited Bellman-Ford and the label-setting s-t sweep that answers
-// the Theorem 1.2 query engine's per-scale searches — shares one storage
-// shape: a bucketed queue plus per-vertex (dist, parent) state. Before
-// this layer each call heap-allocated that state from scratch, which the
-// two hot call loops pay for repeatedly: ApproxShortestPaths runs one
-// sweep per distance scale per query, and the hopset build fans out one
-// weighted BFS per large-cluster center. SsspWorkspace owns the state
-// once, mirroring EstClusterWorkspace for the clustering side:
+// Every traversal driver in src/sssp/ — hop-limited Bellman-Ford and
+// the label-setting Dial sweep (st_sweep) that answers the Theorem 1.2
+// query engine's per-scale searches and, untargeted, runs weighted BFS —
+// shares one storage shape: a queue plus per-vertex distance state.
+// Before this layer each call heap-allocated that state from scratch,
+// which the two hot call loops pay for repeatedly: ApproxShortestPaths
+// runs one sweep per distance scale per query, and the hopset build fans
+// out one weighted BFS per large-cluster center. SsspWorkspace owns the
+// state once, mirroring EstClusterWorkspace for the clustering side:
 //
-//  * one vid bucket engine (Dial buckets), reset-but-never-shrunk across
-//    calls;
-//  * per-vertex dist / parent / owner arrays with a touched-vertex list:
+//  * a per-vertex dist array with a touched-vertex list:
 //    the invariant "dist == kInfWeight except for vertices touched by the
 //    last run" is restored lazily at the next run's start, so a run that
 //    reaches few vertices (a distance-capped query sweep) costs O(touched)
@@ -23,11 +21,11 @@
 //  * st_sweep's Dial queue: per-vertex list links and hop labels, a key
 //    window of list heads (grown lazily, at most 65,536 keys) with its
 //    bitmaps, and a heap for keys past the window. Allocated on the
-//    sweep's first run only, so workspaces that never answer s-t queries
-//    (the hopset build's pool) do not carry it.
+//    sweep's first run only, so workspaces that only run hop-limited
+//    sweeps do not carry it.
 //
-// Results of a run stay readable in place (dist_of / parent_of / touched)
-// until the next run on the same workspace begins. Not thread-safe across
+// Results of a run stay readable in place (dist_of / touched) until the
+// next run on the same workspace begins. Not thread-safe across
 // concurrent driver calls: one workspace per call chain. For parallel
 // fan-outs (the hopset's per-center weighted BFS, batched queries) use
 // SsspWorkspacePool, which keeps one workspace per pool worker.
@@ -41,7 +39,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "parallel/bucket_engine.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/round_scheduler.hpp"
 #include "util/deadline.hpp"
@@ -49,7 +46,6 @@
 namespace parsh {
 
 struct WeightedBfsResult;
-struct MultiWeightedBfsResult;
 struct HopLimitedStats;
 struct StSweepStats;
 
@@ -86,13 +82,13 @@ class SsspWorkspace : public RoundScheduler {
  public:
   SsspWorkspace();
 
-  /// Heap-allocation events inside the workspace so far: the engine's
-  /// counter plus the relaxer's prefix-scratch growth plus per-vertex
-  /// array growth plus scratch-buffer capacity growth. Cumulative across
-  /// runs; a warm run that fits every buffer leaves this unchanged — the
-  /// guarantee the query-server tests pin.
+  /// Heap-allocation events inside the workspace so far: the relaxer's
+  /// prefix-scratch growth plus per-vertex array growth plus
+  /// scratch-buffer capacity growth. Cumulative across runs; a warm run
+  /// that fits every buffer leaves this unchanged — the guarantee the
+  /// query-server tests pin.
   [[nodiscard]] std::uint64_t alloc_events() const {
-    return frontier_engine_.alloc_events() + relax_alloc_events() + grow_events_ +
+    return relax_alloc_events() + grow_events_ +
            scratch_allocs_.load(std::memory_order_relaxed);
   }
   /// Times the per-vertex arrays had to grow (once per high-water n).
@@ -103,13 +99,6 @@ class SsspWorkspace : public RoundScheduler {
   [[nodiscard]] weight_t dist_of(vid v) const {
     return dist_[v].load(std::memory_order_relaxed);
   }
-  /// Tree parent settled by the last run (kNoVertex for sources and
-  /// unreached vertices). Meaningful after weighted BFS, the one traversal
-  /// that settles parents here; a hop-limited sweep settles distances
-  /// only.
-  [[nodiscard]] vid parent_of(vid v) const {
-    return dist_of(v) == kInfWeight ? kNoVertex : parent_[v];
-  }
   /// Vertices the last run reached, in no particular order. Iterating
   /// this instead of [0, n) is what keeps distance-capped sweeps (the
   /// query engine's out-of-scale searches) sublinear per call.
@@ -118,9 +107,6 @@ class SsspWorkspace : public RoundScheduler {
  private:
   friend WeightedBfsResult weighted_bfs(const Graph&, vid, weight_t,
                                         SsspWorkspace&);
-  friend MultiWeightedBfsResult multi_weighted_bfs(const Graph&,
-                                                   const std::vector<vid>&,
-                                                   weight_t, SsspWorkspace&);
   friend HopLimitedStats hop_limited_sssp(const Graph&, vid, std::uint64_t,
                                           weight_t, SsspWorkspace&,
                                           const Deadline&, vid);
@@ -129,8 +115,8 @@ class SsspWorkspace : public RoundScheduler {
   friend StSweepStats st_sweep(const Graph&, vid, vid, weight_t, SsspWorkspace&,
                                const Deadline&);
 
-  /// Grow the per-vertex arrays (dist/parent/owner) to hold n vertices;
-  /// geometric headroom, never shrunk. Newly (re)built entries restore the
+  /// Grow the per-vertex dist array to hold n vertices; geometric
+  /// headroom, never shrunk. Newly (re)built entries restore the
   /// dist-infinity invariant.
   void ensure_vertices_(vid n);
   /// Start a run over n vertices: grow arrays, restore the dist-infinity
@@ -138,17 +124,14 @@ class SsspWorkspace : public RoundScheduler {
   /// list. O(touched_prev) when nothing grows.
   void begin_run_(vid n);
 
-  BucketEngine<vid> frontier_engine_;            // Dial buckets
   // Per-vertex state (sized to the high-water n; only [0, n) touched).
   std::vector<std::atomic<weight_t>> dist_;
-  std::vector<vid> parent_;
-  std::vector<vid> owner_;                       // multi-source claim owner
   // Per-run / per-round scratch independent of n.
   std::vector<vid> touched_;                     // vertices reached by last run
   std::vector<std::vector<vid>> newly_local_;    // per-worker BF winners
   std::vector<std::vector<vid>> touched_local_;  // per-worker first touches
   std::vector<std::size_t> offset_;              // winner-concat scan
-  std::vector<vid> frontier_;                    // popped vid bucket / BF frontier
+  std::vector<vid> frontier_;                    // BF frontier
   std::vector<vid> improved_;                    // BF winners, settled lists
   std::vector<weight_t> frontier_dist_;          // per-round frontier snapshot (BF)
   // st_sweep's Dial queue (st_sweep.cpp), grown on its first use only.

@@ -13,6 +13,9 @@ namespace parsh {
 namespace {
 
 constexpr std::size_t kNoKey = ~std::size_t{0};
+/// Largest key: past 2^53 a double sum can round onto the key being
+/// settled, which the queue's forward-only cursor cannot take.
+constexpr weight_t kMaxKey = 0x1p53 - 1;
 /// Largest key window: 256 KiB of list heads per workspace. Farther keys
 /// wait in the overflow heap.
 constexpr std::size_t kMaxWindow = std::size_t{1} << 16;
@@ -202,11 +205,13 @@ class DialQueue {
 StSweepStats st_sweep(const Graph& g, vid source, vid target, weight_t dist_limit,
                       SsspWorkspace& ws, const Deadline& deadline) {
   require_vertex(g, source, "st_sweep");
-  require_vertex(g, target, "st_sweep");
+  const bool targeted = target != kNoVertex;
+  if (targeted) require_vertex(g, target, "st_sweep");
   // Keys are the distances themselves, exact in a double below 2^53.
-  if (!(dist_limit >= 0 && dist_limit < 0x1p53)) {
+  if (!(dist_limit >= 0 && (dist_limit <= kMaxKey || !targeted))) {
     throw std::invalid_argument("st_sweep: dist_limit must lie in [0, 2^53)");
   }
+  const weight_t cap = std::min(dist_limit, kMaxKey);
   const vid n = g.num_vertices();
   ws.begin_run_(n);
   if (ws.dial_links_.size() < n) {
@@ -230,7 +235,9 @@ StSweepStats st_sweep(const Graph& g, vid source, vid target, weight_t dist_limi
   weight_t dt = kInfWeight;
   std::uint32_t max_hops = 0;
   std::uint64_t settled = 0;
+  bool capped = false;  // an untargeted sweep pruned a key past kMaxKey
   const bool check_deadline = !deadline.never_expires();
+  std::size_t last_key = kNoKey;
   for (std::size_t key; (key = queue.min_key()) != kNoKey;) {
     const auto du = static_cast<weight_t>(key);
     // t's key is the least left: every lighter vertex is settled, and so
@@ -241,6 +248,8 @@ StSweepStats st_sweep(const Graph& g, vid source, vid target, weight_t dist_limi
       stats.deadline_hit = true;
       break;
     }
+    stats.keys += key != last_key;
+    last_key = key;
     const vid u = queue.pop(key);
     assert(dist_of(u) == du);
     const std::uint32_t hops = links[u].hops + 1;
@@ -252,7 +261,10 @@ StSweepStats st_sweep(const Graph& g, vid source, vid target, weight_t dist_limi
       assert(w >= 1 && w == std::floor(w) && "st_sweep requires integer weights");
       const weight_t nd = du + w;
       // Strict: an equal-weight path may still carry fewer hops.
-      if (nd > dist_limit || nd > dt) return;
+      if (nd > cap || nd > dt) {
+        capped = capped || (nd > cap && nd <= dist_limit && dist_of(v) == kInfWeight);
+        return;
+      }
       const weight_t dv = dist_of(v);
       if (nd < dv) {
         if (dv == kInfWeight) {
@@ -270,9 +282,20 @@ StSweepStats st_sweep(const Graph& g, vid source, vid target, weight_t dist_limi
     });
   }
   queue.clear();
+  if (capped && !stats.deadline_hit) {
+    // Fail if some vertex within dist_limit is still unreached: every
+    // arc into it then carries a distance past kMaxKey.
+    for (vid u : ws.touched_) {
+      g.for_arcs(u, 0, g.degree(u), [](vid) {}, [&](eid e, vid v) {
+        if (dist_of(u) + g.weight(e) <= dist_limit && dist_of(v) == kInfWeight) {
+          throw std::range_error("st_sweep: a distance reached 2^53");
+        }
+      });
+    }
+  }
   stats.hops = dt != kInfWeight ? links[target].hops : max_hops;
   wd::add_work(stats.relaxations);
-  wd::add_round(stats.hops);
+  wd::add_round(targeted ? stats.hops : stats.keys);
   return stats;
 }
 

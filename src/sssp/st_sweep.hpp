@@ -1,5 +1,6 @@
-// Label-setting s-t sweep over integer weights — the hot path of
-// ApproxShortestPaths::query.
+// Label-setting Dial sweep over integer weights — the hot path of
+// ApproxShortestPaths::query, and, untargeted, the weighted BFS of
+// Section 5 (weighted_bfs.hpp).
 //
 // Every distance scale's rounded graph has integer weights >= 1 (Lemma
 // 5.2's ceil(w / w_hat), and hopset edges that are sums of those), and
@@ -34,6 +35,9 @@ struct StSweepStats {
   /// was not reached, the largest hop label among settled vertices (the
   /// depth at which such a sweep runs out of frontier).
   std::uint64_t hops = 0;
+  /// Distinct distances settled: the rounds of the weighted parallel BFS
+  /// of Section 5, which advances one distance value per round.
+  std::uint64_t keys = 0;
   /// The deadline expired and the sweep stopped early. ws.dist_of(target)
   /// then holds t's tentative label: the weight of a real s-t path (an
   /// upper bound on dist(t)), or kInfWeight if none was found yet.
@@ -46,6 +50,13 @@ struct StSweepStats {
 /// engine checks its scale graphs once at construction). Stops as soon as
 /// t settles. Sequential; the queue lives in `ws`, and warm calls whose
 /// keys and reach fit its high-water buffers allocate nothing.
+///
+/// `target == kNoVertex` settles every vertex within `dist_limit`
+/// instead (no early stop). Such a sweep accepts any dist_limit >= 0,
+/// kInfWeight included, and caps it at 2^53 - 1; a distance pruned only
+/// by that cap throws std::range_error rather than leave its vertex
+/// unreached. Work-depth: work is the arcs scanned, rounds are t's hop
+/// label, or `keys` when untargeted.
 ///
 /// `deadline` is polled every 256 settled vertices; on expiry the sweep
 /// returns with deadline_hit set (see StSweepStats).

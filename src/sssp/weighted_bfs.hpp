@@ -4,7 +4,8 @@
 // has made all weights small positive integers: the search advances one
 // distance unit per synchronous round, so depth is proportional to the
 // (rounded) radius, exactly as the paper analyses. Requires integer
-// weights >= 1.
+// weights >= 1. The search is st_sweep (st_sweep.hpp) with no target,
+// which keeps the library's one Dial queue.
 #pragma once
 
 #include <cstdint>
@@ -17,34 +18,19 @@ namespace parsh {
 
 struct WeightedBfsResult {
   std::vector<weight_t> dist;  ///< kInfWeight if unreached
-  std::vector<vid> parent;
-  std::uint64_t rounds = 0;  ///< buckets processed (depth proxy)
+  std::uint64_t rounds = 0;    ///< distinct distances settled (depth proxy)
 };
 
 /// Weighted BFS from `source`; weights must be positive integers. The
-/// search stops at distance `limit` (exclusive of farther vertices).
+/// search stops at distance `limit` (exclusive of farther vertices); a
+/// reached distance of 2^53 or more throws std::range_error.
 WeightedBfsResult weighted_bfs(const Graph& g, vid source,
                                weight_t limit = kInfWeight);
 
-/// Workspace form for iterated callers (the hopset's per-center fan-out
-/// runs one of these per large-cluster center, one workspace per worker):
-/// the Dial calendar and the per-vertex arrays live in `ws`, warm calls
-/// allocate nothing. Same output as the plain form.
+/// Workspace form for iterated callers: the queue and the per-vertex
+/// arrays live in `ws`, warm calls allocate nothing. Same output as the
+/// plain form.
 WeightedBfsResult weighted_bfs(const Graph& g, vid source, weight_t limit,
                                SsspWorkspace& ws);
-
-/// Multi-source variant: dist to the nearest source; `owner` gives the
-/// index of the claiming source (smaller index wins exact ties).
-struct MultiWeightedBfsResult {
-  std::vector<weight_t> dist;
-  std::vector<vid> owner;
-  std::uint64_t rounds = 0;
-};
-MultiWeightedBfsResult multi_weighted_bfs(const Graph& g,
-                                          const std::vector<vid>& sources,
-                                          weight_t limit = kInfWeight);
-MultiWeightedBfsResult multi_weighted_bfs(const Graph& g,
-                                          const std::vector<vid>& sources,
-                                          weight_t limit, SsspWorkspace& ws);
 
 }  // namespace parsh

@@ -133,13 +133,7 @@ TEST_P(DriverDeterminism, WeightedBfs) {
   const Graph g = weighted();
   const auto [one, many] = one_and_many([&] { return weighted_bfs(g, 0); });
   EXPECT_EQ(one.dist, many.dist);
-  EXPECT_EQ(one.parent, many.parent);
   EXPECT_EQ(one.rounds, many.rounds);
-  const auto [m1, m4] =
-      one_and_many([&] { return multi_weighted_bfs(g, {0, 5, 9}); });
-  EXPECT_EQ(m1.dist, m4.dist);
-  EXPECT_EQ(m1.owner, m4.owner);
-  EXPECT_EQ(m1.rounds, m4.rounds);
 }
 
 TEST_P(DriverDeterminism, HopLimited) {

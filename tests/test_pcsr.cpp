@@ -166,7 +166,7 @@ TEST(Pcsr, AlgorithmsBitIdenticalOnMmapStorage) {
   const WeightedBfsResult b1 = weighted_bfs(g, 0);
   const WeightedBfsResult b2 = weighted_bfs(loaded, 0);
   EXPECT_EQ(b1.dist, b2.dist);
-  EXPECT_EQ(b1.parent, b2.parent);
+  EXPECT_EQ(b1.rounds, b2.rounds);
 
   const HopLimitedResult h1 = hop_limited_sssp(g, 0, g.num_vertices());
   const HopLimitedResult h2 = hop_limited_sssp(loaded, 0, g.num_vertices());

@@ -647,6 +647,12 @@ std::string run_fault_workload(std::uint64_t seed) {
     EXPECT_TRUE(client.query({{i % 50, (i * 7 + 3) % 50}}, 5000, &resp).ok()) << i;
   }
   client.close();
+  // Let the reader see EOF (one more read-site draw) before stop() can
+  // cut it short, so every run records the same number of draws.
+  for (int i = 0; i < 5000 && server.open_connections() != 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(server.open_connections(), 0u);
   server.stop();
   EXPECT_EQ(server.open_connections(), 0u);
   EXPECT_EQ(server.metrics().connections_opened.load(),

@@ -3,7 +3,9 @@
 // against each other over parameterized workloads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
 #include <stdexcept>
 #include <tuple>
 
@@ -27,11 +29,21 @@ class SsspCross : public ::testing::TestWithParam<std::uint64_t> {
   }
 };
 
+/// Weighted BFS runs one round per distance value it settles.
+std::uint64_t distinct_finite(const std::vector<weight_t>& dist) {
+  std::set<weight_t> values;
+  for (weight_t d : dist) {
+    if (d != kInfWeight) values.insert(d);
+  }
+  return values.size();
+}
+
 TEST_P(SsspCross, WeightedBfsMatchesDijkstra) {
   const Graph g = weighted_graph();
   const auto d = dijkstra(g, 0);
   const auto w = weighted_bfs(g, 0);
   for (vid v = 0; v < g.num_vertices(); ++v) EXPECT_EQ(w.dist[v], d.dist[v]) << v;
+  EXPECT_EQ(w.rounds, distinct_finite(w.dist));
 }
 
 TEST_P(SsspCross, HopLimitedConvergesToDijkstra) {
@@ -57,13 +69,41 @@ TEST(WeightedBfs, LimitTruncatesSearch) {
   EXPECT_EQ(r.dist[6], kInfWeight);
 }
 
-TEST(WeightedBfs, MultiSourceOwnersSplitPath) {
-  const Graph g = make_path(21);
-  const auto r = multi_weighted_bfs(g, {0, 20});
-  EXPECT_EQ(r.owner[5], 0u);
-  EXPECT_EQ(r.owner[15], 1u);
-  EXPECT_EQ(r.dist[10], 10);
-  EXPECT_EQ(r.owner[10], 0u);  // exact tie goes to the smaller source index
+TEST(WeightedBfs, KeysBeyondTheWindowMatchDijkstra) {
+  // Weights up to 1e6 spread the distances far past the queue's
+  // 65,536-key window, so the untargeted sweep refills it from the heap.
+  const Graph g = with_uniform_weights(
+      ensure_connected(make_random_graph(400, 1600, 21)), 1, 1000000, 22);
+  SsspWorkspace ws;
+  for (const vid s : {vid{0}, vid{133}, vid{399}}) {
+    const auto d = dijkstra(g, s);
+    const auto w = weighted_bfs(g, s, kInfWeight, ws);
+    EXPECT_GT(*std::max_element(w.dist.begin(), w.dist.end()), 4 * 65536);
+    for (vid v = 0; v < g.num_vertices(); ++v) EXPECT_EQ(w.dist[v], d.dist[v]) << v;
+    EXPECT_EQ(w.rounds, distinct_finite(w.dist));
+  }
+}
+
+TEST(WeightedBfs, DistanceOf2To53Throws) {
+  // 0 -(2^52)- 1 -(2^52)- 2: vertex 2 sits at 2^53, past the keys a
+  // double sum holds exactly, so a search allowed to reach it throws
+  // instead of leaving it unreached.
+  const Graph g = Graph::from_edges(3, {{0, 1, 0x1p52}, {1, 2, 0x1p52}});
+  SsspWorkspace ws;
+  EXPECT_THROW((void)weighted_bfs(g, 0, kInfWeight, ws), std::range_error);
+  EXPECT_THROW((void)weighted_bfs(g, 0, 0x1p53, ws), std::range_error);
+  EXPECT_THROW((void)st_sweep(g, 0, kNoVertex, kInfWeight, ws), std::range_error);
+  // A limit below 2^53 prunes vertex 2 as usual, on the same workspace.
+  const auto r = weighted_bfs(g, 0, 0x1p53 - 1, ws);
+  EXPECT_EQ(r.dist[1], 0x1p52);
+  EXPECT_EQ(r.dist[2], kInfWeight);
+  EXPECT_EQ(r.rounds, 2u);
+  EXPECT_EQ(weighted_bfs(g, 1, kInfWeight, ws).dist[2], 0x1p52);
+  // Vertex 3 is first offered 2^53 + 10 via 1, then reached at 2^53 - 3
+  // via 2: only a vertex left unreached is an error.
+  const Graph late = Graph::from_edges(
+      4, {{0, 1, 0x1p53 - 10}, {1, 3, 20}, {0, 2, 0x1p53 - 8}, {2, 3, 5}});
+  EXPECT_EQ(weighted_bfs(late, 0, kInfWeight, ws).dist[3], 0x1p53 - 3);
 }
 
 TEST(Dijkstra, LimitedStopsAtRadius) {
@@ -146,18 +186,10 @@ void expect_valid_sssp_tree(const Graph& g, vid source,
   }
 }
 
-TEST(WeightedBfs, MultiSourceDuplicateSourcesHandled) {
-  const Graph g = make_cycle(10);
-  const auto r = multi_weighted_bfs(g, {3, 3, 3});
-  EXPECT_EQ(r.dist[3], 0);
-  EXPECT_EQ(r.owner[3], 0u);
-  EXPECT_EQ(r.dist[8], 5);
-}
-
-TEST(WeightedBfs, ParentsFormShortestPathTree) {
+TEST(Dijkstra, ParentsFormShortestPathTree) {
   const Graph g = with_uniform_weights(
       ensure_connected(make_random_graph(300, 900, 6)), 1, 9, 11);
-  const auto r = weighted_bfs(g, 0);
+  const auto r = dijkstra(g, 0);
   expect_valid_sssp_tree(g, 0, r.dist, r.parent);
 }
 
@@ -174,10 +206,10 @@ TEST(SsspWorkspace, WarmRepeatCallsDoZeroWorkspaceAllocations) {
       ensure_connected(make_random_graph(500, 2000, 12)), 1, 9, 13);
   SsspWorkspace ws;
   auto run_family = [&] {
-    const auto m = multi_weighted_bfs(g, {1, 7}, kInfWeight, ws);
     const auto w = weighted_bfs(g, 2, kInfWeight, ws);
     const auto h = hop_limited_sssp(g, 5, 64, kInfWeight, ws);
-    return std::tuple(m.dist, m.owner, w.dist, w.parent, h.rounds);
+    const auto t = st_sweep(g, 7, 400, 1e9, ws);
+    return std::tuple(w.dist, w.rounds, h.rounds, ws.dist_of(400), t.hops);
   };
   const auto cold = run_family();
   const std::uint64_t after_cold = ws.alloc_events();
@@ -193,15 +225,11 @@ TEST(SsspWorkspace, ResultsReadableInPlaceUntilNextRun) {
   SsspWorkspace ws;
   const auto r = weighted_bfs(g, 0, kInfWeight, ws);
   EXPECT_EQ(ws.touched().size(), 30u);
-  for (vid v = 0; v < 30; ++v) {
-    EXPECT_EQ(ws.dist_of(v), r.dist[v]);
-    EXPECT_EQ(ws.parent_of(v), r.parent[v]);
-  }
+  for (vid v = 0; v < 30; ++v) EXPECT_EQ(ws.dist_of(v), r.dist[v]);
   // A distance-capped run leaves untouched vertices reading infinity.
   (void)hop_limited_sssp(g, 0, 100, 6.0, ws);
   EXPECT_EQ(ws.dist_of(3), 6.0);
   EXPECT_EQ(ws.dist_of(4), kInfWeight);
-  EXPECT_EQ(ws.parent_of(4), kNoVertex);
   EXPECT_EQ(ws.touched().size(), 4u);
 }
 
@@ -316,6 +344,12 @@ TEST(StSweep, RejectsBadArguments) {
   EXPECT_THROW((void)st_sweep(g, 0, 16, 10, ws), std::out_of_range);
   EXPECT_THROW((void)st_sweep(g, 0, 5, kInfWeight, ws), std::invalid_argument);
   EXPECT_THROW((void)st_sweep(g, 0, 5, -1, ws), std::invalid_argument);
+  EXPECT_THROW((void)st_sweep(g, 0, kNoVertex, -1, ws), std::invalid_argument);
+  // Untargeted, the limit may be infinite: every vertex settles.
+  const StSweepStats r = st_sweep(g, 0, kNoVertex, kInfWeight, ws);
+  EXPECT_EQ(ws.touched().size(), 16u);
+  EXPECT_EQ(ws.dist_of(15), 6);
+  EXPECT_EQ(r.keys, 7u);  // distances 0..6
 }
 
 }  // namespace
