@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "graph/row_builder.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/primitives.hpp"
 #include "parallel/sort.hpp"
@@ -16,6 +17,13 @@ namespace {
 struct Arc {
   vid u, v;
   weight_t w;
+};
+
+/// (u, v, w) order: rows, then targets, then the lightest parallel arc.
+constexpr auto arc_less = [](const Arc& a, const Arc& b) {
+  if (a.u != b.u) return a.u < b.u;
+  if (a.v != b.v) return a.v < b.v;
+  return a.w < b.w;
 };
 
 [[noreturn]] void corrupt_adjacency(vid u, std::size_t chunk,
@@ -34,11 +42,7 @@ Graph build_csr(vid n, std::vector<Edge>&& arcs_in, bool dedup, bool any_weighte
     arcs[i] = {arcs_in[i].u, arcs_in[i].v, arcs_in[i].w};
   });
   arcs_in.clear();
-  parallel_sort(arcs, [](const Arc& a, const Arc& b) {
-    if (a.u != b.u) return a.u < b.u;
-    if (a.v != b.v) return a.v < b.v;
-    return a.w < b.w;
-  });
+  parallel_sort(arcs, arc_less);
   if (dedup) {
     // Keep the first arc of every (u,v) group: sorted by weight, so the
     // survivor carries the minimum weight — same as std::unique, but as a
@@ -154,18 +158,40 @@ std::vector<Edge> Graph::undirected_edges() const {
 }
 
 Graph Graph::with_extra_edges(const std::vector<Edge>& extra) const {
-  std::vector<Edge> edges = undirected_edges();
-  edges.insert(edges.end(), extra.begin(), extra.end());
-  bool was_weighted = weighted();
+  bool any_weighted = weighted();
+  std::vector<Arc> arcs;
+  arcs.reserve(2 * extra.size());
   for (const Edge& e : extra) {
-    if (e.w != weight_t{1}) was_weighted = true;
+    if (e.w != weight_t{1}) any_weighted = true;
+    if (e.u == e.v) continue;
+    arcs.push_back({e.u, e.v, e.w});
+    arcs.push_back({e.v, e.u, e.w});
   }
-  Graph g = from_edges(n_, std::move(edges), /*symmetrize=*/true);
-  if (was_weighted && !g.weighted()) {
-    g.storage_.weights = ArrayHandle<weight_t>::adopt(
-        std::vector<weight_t>(g.num_arcs(), weight_t{1}));
-  }
-  return g;
+  parallel_sort(arcs, arc_less);
+  // Row u's extra arcs are arcs[first[u], first[u + 1]).
+  std::vector<std::size_t> first(static_cast<std::size_t>(n_) + 1, 0);
+  for (const Arc& a : arcs) ++first[a.u + 1];
+  for (vid u = 0; u < n_; ++u) first[u + 1] += first[u];
+  return graph_from_rows(n_, any_weighted, [&](std::size_t r, auto&& emit) {
+    const vid u = static_cast<vid>(r);
+    std::size_t x = first[u];
+    const std::size_t x_end = first[u + 1];
+    for_arcs(u, 0, degree(u), [](vid) {}, [&](eid e, vid v) {
+      for (; x < x_end && arcs[x].v <= v; ++x) emit(arcs[x].v, arcs[x].w);
+      if (v != u) emit(v, weight(e));
+    });
+    for (; x < x_end; ++x) emit(arcs[x].v, arcs[x].w);
+  });
+}
+
+Graph Graph::prune_heavier_than(weight_t cap) const {
+  return graph_from_rows(n_, false, [&](std::size_t r, auto&& emit) {
+    const vid u = static_cast<vid>(r);
+    for_arcs(u, 0, degree(u), [](vid) {}, [&](eid e, vid v) {
+      const weight_t w = weight(e);
+      if (v != u && w <= cap) emit(v, w);
+    });
+  });
 }
 
 std::size_t Graph::decode_adjacency_chunk(vid u, std::size_t chunk, vid* out) const {

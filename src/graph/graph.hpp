@@ -61,10 +61,7 @@ class Graph {
   /// Wrap pre-built storage (the .pcsr loader and the streamed builder).
   /// The caller vouches for CSR invariants; use validate() to deep-check.
   static Graph from_storage(vid n, GraphStorage storage) {
-    Graph g;
-    g.n_ = n;
-    g.storage_ = std::move(storage);
-    return g;
+    return Graph(n, std::move(storage));
   }
 
   [[nodiscard]] vid num_vertices() const { return n_; }
@@ -195,8 +192,18 @@ class Graph {
   [[nodiscard]] std::vector<Edge> undirected_edges() const;
 
   /// A copy of this graph with the given extra undirected edges added
-  /// (used to form G union E' when querying hopsets).
+  /// (used to form G union E' when querying hopsets): the graph
+  /// from_edges builds from undirected_edges() plus `extra`, weighted iff
+  /// this graph is or some extra weight is not 1. Linear work plus a sort
+  /// of the extra arcs: each row is a merge of this graph's sorted row
+  /// with its sorted extra arcs.
   [[nodiscard]] Graph with_extra_edges(const std::vector<Edge>& extra) const;
+
+  /// A copy without the edges heavier than `cap` (a distance scale's
+  /// Klein-Subramanian prune): the graph from_edges builds from the
+  /// undirected_edges() of weight <= cap. Linear work: each row is a
+  /// filtered copy of this graph's row.
+  [[nodiscard]] Graph prune_heavier_than(weight_t cap) const;
 
   /// Apply a batch of edge inserts/removes/reweights, producing a new
   /// graph (this one is untouched — snapshots keep serving). Storage
@@ -241,6 +248,8 @@ class Graph {
   /// stream (truncated varint, out-of-range target) — bounds-checked in
   /// the same strict spirit as the text readers' IoError.
   std::size_t decode_adjacency_chunk(vid u, std::size_t chunk, vid* out) const;
+
+  Graph(vid n, GraphStorage storage) : n_(n), storage_(std::move(storage)) {}
 
   vid n_ = 0;
   GraphStorage storage_;

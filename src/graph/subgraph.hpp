@@ -21,12 +21,16 @@ struct Subgraph {
 };
 
 /// Induced subgraph on `vertices` (each < g.num_vertices(), no
-/// duplicates). Local ids follow the order of `vertices`.
+/// duplicates). Local ids follow the order of `vertices`; a row that order
+/// leaves unsorted is sorted. Built straight from the host rows, with no
+/// edge-list sort.
 Subgraph induced_subgraph(const Graph& g, const std::vector<vid>& vertices);
 
 /// One induced subgraph per cluster, given a cluster label per vertex
-/// (labels dense in [0, num_clusters)). Returns them ordered by label.
-/// Single pass over the host graph — O(n + m) work total.
+/// (labels dense in [0, num_clusters); kNoVertex puts a vertex in no
+/// cluster). Returns them ordered by label; local ids follow vertex order.
+/// One pass over the labels and two over the members' host rows (count,
+/// fill) with one shared local-id array — O(n + m) work total.
 std::vector<Subgraph> induced_subgraphs_by_label(const Graph& g,
                                                  const std::vector<vid>& label,
                                                  vid num_clusters);

@@ -141,22 +141,28 @@ void hopset_recurse(const Subgraph& sub, double beta, std::uint64_t level,
     }
   }
 
-  // Line 10 (and 4): recurse on (small) clusters with grown beta.
+  // Line 10 (and 4): recurse on (small) clusters with grown beta. A
+  // one-vertex cluster has nothing to recurse on; the others become
+  // children 0, 1, ... in small_clusters order, all built in one pass.
   if (small_clusters.empty()) return;
-  std::vector<char> selected(c.num_clusters, 0);
-  for (vid sc : small_clusters) selected[sc] = 1;
-  // Gather members of the selected clusters and build their subgraphs.
-  std::vector<std::vector<vid>> members(c.num_clusters);
-  for (vid v = 0; v < n; ++v) {
-    if (selected[c.cluster_of[v]]) members[c.cluster_of[v]].push_back(v);
-  }
-  const double next_beta = beta * ctx.growth;
+  std::vector<vid> child_of(c.num_clusters, kNoVertex);
+  std::vector<vid> child_cluster;
   for (vid sc : small_clusters) {
-    if (members[sc].size() <= 1) continue;
-    Subgraph child = induced_subgraph(g, members[sc]);
+    if (sizes[sc] <= 1) continue;
+    child_of[sc] = static_cast<vid>(child_cluster.size());
+    child_cluster.push_back(sc);
+  }
+  std::vector<vid> child_label(n);
+  for (vid v = 0; v < n; ++v) child_label[v] = child_of[c.cluster_of[v]];
+  std::vector<Subgraph> children = induced_subgraphs_by_label(
+      g, child_label, static_cast<vid>(child_cluster.size()));
+  const double next_beta = beta * ctx.growth;
+  for (std::size_t i = 0; i < children.size(); ++i) {
+    Subgraph child = std::move(children[i]);
     // Re-map the child's original ids through this subgraph's map.
     for (vid& ov : child.original_id) ov = sub.original_id[ov];
-    hopset_recurse(child, next_beta, level + 1, child_seed(seed, level, sc), ctx);
+    hopset_recurse(child, next_beta, level + 1,
+                   child_seed(seed, level, child_cluster[i]), ctx);
   }
 }
 

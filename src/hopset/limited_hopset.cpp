@@ -27,13 +27,8 @@ LimitedHopsetResult build_limited_hopset(const Graph& g, const LimitedHopsetPara
     std::uint64_t scale_idx = 0;
     for (weight_t d = lo; d / scale_ratio <= hi; d *= scale_ratio, ++scale_idx) {
       // Only paths of weight in [d, c*d] matter at this scale.
-      const weight_t cap = d * scale_ratio;
-      std::vector<Edge> kept;
-      for (const Edge& e : work.undirected_edges()) {
-        if (e.w <= cap) kept.push_back(e);
-      }
-      if (kept.empty()) continue;
-      const Graph pruned = Graph::from_edges(n, std::move(kept));
+      const Graph pruned = work.prune_heavier_than(d * scale_ratio);
+      if (pruned.num_edges() == 0) continue;
       RoundedGraph rg = round_weights(pruned, d, k_hops, p.epsilon);
       // Rounded path weights are <= ~c*k/zeta =: d_rounded.
       const double d_rounded = rounded_weight_bound(scale_ratio, k_hops, p.epsilon);

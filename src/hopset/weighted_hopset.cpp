@@ -47,13 +47,8 @@ HopsetScale build_one_scale(const Graph& g, const WeightedHopsetParams& p,
   // heavier than c*d, so those edges are dropped for this scale. This
   // caps the rounded weights at ~c*k/zeta (Lemma 5.2) and keeps the
   // bucketed searches shallow.
-  const weight_t cap = d * scale_ratio;
-  std::vector<Edge> kept;
-  for (const Edge& e : g.undirected_edges()) {
-    if (e.w <= cap) kept.push_back(e);
-  }
-  const Graph pruned = Graph::from_edges(n, std::move(kept));
-  RoundedGraph rg = round_weights(pruned, d, k_hops, p.zeta);
+  RoundedGraph rg =
+      round_weights(g.prune_heavier_than(d * scale_ratio), d, k_hops, p.zeta);
   scale.w_hat = rg.w_hat;
   HopsetParams hp = p.hopset;
   hp.seed = p.hopset.seed ^ (0x5bd1e995ULL * (scale_idx + 1));
@@ -62,9 +57,16 @@ HopsetScale build_one_scale(const Graph& g, const WeightedHopsetParams& p,
     // graph's distances are inflated by its mean edge weight, so scale
     // beta0 down by it — top-level clusters then span ~n^{gamma2} hops
     // at every scale (the quantity Theorem 4.4's depth is stated in).
+    // Summed in undirected-edge order (u < v, row by row), which fixes
+    // the rounding of the sum and so beta0.
+    const Graph& r = rg.graph;
     double mean_w = 0;
-    for (const Edge& e : rg.graph.undirected_edges()) mean_w += e.w;
-    mean_w /= static_cast<double>(rg.graph.num_edges());
+    for (vid u = 0; u < n; ++u) {
+      r.for_arcs(u, 0, r.degree(u), [](vid) {}, [&](eid e, vid v) {
+        if (u < v) mean_w += r.weight(e);
+      });
+    }
+    mean_w /= static_cast<double>(r.num_edges());
     hp.beta0_override =
         std::pow(static_cast<double>(n), -hp.gamma2) / std::max(1.0, mean_w);
   }

@@ -326,7 +326,12 @@ Status write_checkpoint(const std::string& dir, const Graph& g, const Manifest& 
 // ---- loader -----------------------------------------------------------------
 
 Status load_newest_checkpoint(const std::string& dir, LoadedCheckpoint* out) {
-  *out = LoadedCheckpoint{};
+  // Reset field by field: assigning a LoadedCheckpoint{} temporary trips
+  // gcc 12's -Wmaybe-uninitialized inside std::map's move.
+  out->found = false;
+  out->manifest = Manifest{};
+  out->graph = Graph{};
+  out->rejected = 0;
   for (const std::uint64_t epoch : list_manifest_epochs(dir)) {
     Manifest m;
     const std::string man_path = dir + "/" + checkpoint_manifest_name(epoch);

@@ -367,11 +367,12 @@ Status decode_stats_response(const std::vector<std::uint8_t>& payload,
 }
 
 void encode_error(std::vector<std::uint8_t>& out, const Status& status) {
-  std::vector<std::uint8_t> payload;
-  put_u32(payload, static_cast<std::uint32_t>(status.code));
   // Detail messages are advisory; cap them so an error path can never
   // build an oversized frame.
   const std::size_t n = status.message.size() < 256 ? status.message.size() : 256;
+  std::vector<std::uint8_t> payload;
+  payload.reserve(4 + n);
+  put_u32(payload, static_cast<std::uint32_t>(status.code));
   payload.insert(payload.end(), status.message.begin(), status.message.begin() + n);
   append_frame(out, FrameType::kError, payload.data(), payload.size());
 }

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
 
+#include "graph/digest.hpp"
 #include "graph/graph.hpp"
 #include "graph/io.hpp"
 #include "parallel/parallel_for.hpp"
@@ -284,6 +286,115 @@ TEST(Graph, FromEdgesBitIdenticalAcrossThreadCounts) {
   EXPECT_TRUE(std::equal(a.targets.begin(), a.targets.end(), b.targets.begin()));
   EXPECT_TRUE(std::equal(a.weights.begin(), a.weights.end(), b.weights.begin()));
   EXPECT_TRUE(one.validate());
+}
+
+// with_extra_edges and prune_heavier_than build from the sorted rows in
+// linear work; each must equal the graph from_edges builds from the same
+// edges, weighted flag included, at every worker count. The hosts cover
+// the row shapes the builders walk: weighted, unit-weight, parallel arcs
+// (from_edges_keep_parallel) and compressed adjacency. 3000 vertices put
+// the row passes above the parallel grain at width 4.
+std::vector<Edge> random_edges(vid n, int m, std::uint64_t seed, int max_w) {
+  std::vector<Edge> edges;
+  std::uint64_t x = seed;
+  for (int i = 0; i < m; ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    const vid u = static_cast<vid>((x >> 33) % n);
+    const vid v = static_cast<vid>((x >> 13) % n);
+    edges.push_back({u, v, static_cast<weight_t>(1 + (x >> 7) % max_w)});
+  }
+  return edges;
+}
+
+std::vector<std::pair<const char*, Graph>> derive_hosts() {
+  const vid n = 3000;
+  const Graph weighted = Graph::from_edges(n, random_edges(n, 12000, 7, 9));
+  std::vector<Edge> parallel = random_edges(n, 12000, 8, 5);
+  for (std::size_t i = 0; i < parallel.size(); i += 3) {
+    parallel.push_back({parallel[i].v, parallel[i].u, parallel[i].w + 2});
+    parallel.push_back({parallel[i].u, parallel[i].v, 1});
+  }
+  return {{"weighted", weighted},
+          {"unit", Graph::from_edges(n, random_edges(n, 12000, 9, 1))},
+          {"parallel", Graph::from_edges_keep_parallel(n, parallel)},
+          {"compressed", weighted.compress_adjacency()}};
+}
+
+void expect_same_graph(const Graph& got, const Graph& want, const std::string& what) {
+  EXPECT_EQ(got.num_vertices(), want.num_vertices()) << what;
+  EXPECT_EQ(got.weighted(), want.weighted()) << what;
+  EXPECT_EQ(graph_digest(got), graph_digest(want)) << what;
+  EXPECT_TRUE(got.validate()) << what;
+}
+
+template <typename F>
+void at_widths(F f) {
+  const int before = num_workers();
+  for (int width : {1, 4}) {
+    set_num_workers(width);
+    f(width);
+  }
+  set_num_workers(before);
+}
+
+TEST(Graph, PruneHeavierThanMatchesFromEdges) {
+  for (const auto& [name, g] : derive_hosts()) {
+    for (weight_t cap : {0.5, 1.0, 3.0, 4.5, 100.0}) {
+      std::vector<Edge> kept;
+      for (const Edge& e : g.undirected_edges()) {
+        if (e.w <= cap) kept.push_back(e);
+      }
+      const Graph want = Graph::from_edges(g.num_vertices(), kept);
+      at_widths([&](int width) {
+        expect_same_graph(g.prune_heavier_than(cap), want,
+                          std::string(name) + " cap " + std::to_string(cap) +
+                              " width " + std::to_string(width));
+      });
+    }
+  }
+}
+
+TEST(Graph, WithExtraEdgesMatchesFromEdges) {
+  for (const auto& [name, g] : derive_hosts()) {
+    const std::vector<Edge> host = g.undirected_edges();
+    // Extras against existing edges: lighter, heavier, equal, reversed,
+    // duplicated; plus self loops and fresh edges.
+    std::vector<Edge> extra;
+    for (std::size_t i = 0; i < host.size(); i += 97) {
+      const Edge& e = host[i];
+      extra.push_back({e.u, e.v, e.w > 1 ? e.w - 1 : e.w});
+      extra.push_back({e.v, e.u, e.w + 1});
+      extra.push_back({e.u, e.v, e.w});
+      extra.push_back({e.v, e.u, e.w});
+      extra.push_back({e.u, e.u, 3});
+    }
+    const std::vector<Edge> fresh = random_edges(g.num_vertices(), 300, 11, 4);
+    extra.insert(extra.end(), fresh.begin(), fresh.end());
+    std::vector<Edge> unit;
+    for (const Edge& e : extra) unit.push_back({e.u, e.v, 1});
+    for (const auto& [kind, xs] :
+         {std::pair{"mixed", extra}, std::pair{"unit", unit},
+          std::pair{"none", std::vector<Edge>{}}}) {
+      std::vector<Edge> all = host;
+      all.insert(all.end(), xs.begin(), xs.end());
+      Graph want = Graph::from_edges(g.num_vertices(), all);
+      bool weighted = g.weighted();
+      for (const Edge& e : xs) weighted = weighted || e.w != 1;
+      if (weighted && !want.weighted()) want = want.map_weights([](weight_t w) { return w; });
+      at_widths([&](int width) {
+        expect_same_graph(g.with_extra_edges(xs), want,
+                          std::string(name) + " + " + kind + " width " +
+                              std::to_string(width));
+      });
+    }
+  }
+}
+
+TEST(Graph, WithExtraEdgesOnUnitHostKeepsUnitWeights) {
+  const Graph g = Graph::from_edges(4, {{0, 1, 1}, {1, 2, 1}});
+  EXPECT_FALSE(g.with_extra_edges({{2, 3, 1}, {3, 3, 1}}).weighted());
+  // A self loop's weight still counts toward the weighted flag.
+  EXPECT_TRUE(g.with_extra_edges({{2, 3, 1}, {3, 3, 2}}).weighted());
 }
 
 }  // namespace
