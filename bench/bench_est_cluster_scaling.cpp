@@ -8,14 +8,15 @@
 // perf trajectory across PRs is trackable. The sequential super-source
 // Dijkstra oracle is timed alongside as the no-engine reference point.
 //
-// The default sweep is sized so the persistent-team round path is actually
-// exercised (>= 200k vertices, >= 1M edges on rmat): small graphs drain
-// almost entirely through the adaptive sequential round fast path and
-// measure nothing but its overhead. `--scale` shrinks/grows the whole
+// The default sweep is sized so rounds actually run across the team
+// (>= 200k vertices, >= 1M edges on rmat): small graphs drain almost
+// entirely through inline rounds, which run on the driver alone, and
+// measure nothing but their overhead. `--scale` shrinks/grows the whole
 // sweep (CI smoke runs use --scale 0.025); each row also records the
-// per-round frontier-edge histogram (p50/p90/max), the sequential/team
-// round split and the push/pull direction split, so the adaptive and
-// direction thresholds stay tunable from recorded data. First-thread
+// per-round frontier-edge histogram (p50/p90/max), the driver-alone/team
+// round split (sequential_rounds/team_rounds) and the push/pull direction
+// split, so the inline cut and the direction thresholds stay tunable from
+// recorded data. First-thread
 // rows add push_seconds — the same workload with a push RoundPolicy,
 // timed against an equally warm workspace — so the direction
 // heuristic's 1-thread win is a recorded metric, not a claim.

@@ -213,7 +213,6 @@ Clustering est_cluster(const Graph& g, double beta, std::uint64_t seed,
 
   // Per-worker scratch for the round phases: live-proposal/work tallies
   // and winner lists (padded so the hot path never shares cache lines).
-  const std::size_t workers = ws.newly_local_.size();
   WorkerCounter& tally = ws.tally_;
   std::vector<std::vector<vid>>& newly_local = ws.newly_local_;
   std::vector<vid>& newly = ws.newly_;
@@ -239,29 +238,63 @@ Clustering est_cluster(const Graph& g, double beta, std::uint64_t seed,
       newly_local[static_cast<std::size_t>(worker_id())].push_back(p.v);
     }
   };
-  // The sequential-round form of settle: plain relaxed loads/stores (one
-  // worker owns the whole round), winners straight into `newly` — the
-  // first of exact duplicates wins, like the CAS. Same settled state.
-  auto settle_seq = [&](const EstProposal& p) {
-    if (center[p.v].load(std::memory_order_relaxed) != kNoVertex) return;
-    const vid ctr =
-        p.via == kNoVertex ? p.v : center[p.via].load(std::memory_order_relaxed);
-    center[p.v].store(ctr, std::memory_order_relaxed);
-    key[p.v] = p.key;
-    parent[p.v] = p.via;
-    hops[p.v] = p.dw;
-    newly.push_back(p.v);
+  // Expand: settled vertices propagate along their edges into strictly
+  // later buckets (w >= 1), staged per worker. The relaxer splits the
+  // round's edge total into stolen ranges across the team (a hub vertex
+  // is expanded by many workers). The proposal multiset is
+  // partition-independent and the min-reduce order-independent, so the
+  // output is identical under any split.
+  auto expand = [&](std::size_t i, std::size_t lo, std::size_t hi) {
+    const vid u = newly[i];
+    tally.add(hi - lo);
+    g.for_arcs(
+        u, lo, hi,
+        [&](vid ahead) { prefetch_read(&center[ahead]); },
+        [&](eid e, vid v) {
+          if (center[v].load(std::memory_order_relaxed) != kNoVertex) return;
+          const weight_t w = g.weight(e);
+          assert(w >= 1 && w == std::floor(w) &&
+                 "est_cluster requires positive integer weights");
+          const double k = key[u] + w;
+          engine.push_from_worker(static_cast<std::uint64_t>(k) + cal_off,
+                                  EstProposal{v, u, k, hops[u] + w});
+        });
+  };
+  // Pull candidate scan for dense rounds: an open vertex scans its own
+  // (symmetric, equal-mirror-weight) adjacency for frontier neighbours
+  // and emits at most its lexicographic (key, via) minimum — exactly
+  // the proposal the push multiset's min-reduce would have settled,
+  // with k = key[u] + w the same double operation either way, so the
+  // clustering is bit-identical. The suppressed proposals are strict
+  // losers of that very reduce (a later-bucket loser finds v settled
+  // at or before the winner's bucket and dies in the alive() filter).
+  auto pull_expand = [&](vid v) -> std::size_t {
+    if (center[v].load(std::memory_order_relaxed) != kNoVertex) return 0;
+    const std::size_t deg = g.degree(v);
+    double bk = kInfWeight;
+    vid bu = kNoVertex;
+    weight_t bw = 0;
+    g.for_arcs(
+        v, 0, deg,
+        [&](vid ahead) { relaxer.prefetch_frontier_bit(ahead); },
+        [&](eid e, vid u) {
+          if (!relaxer.in_frontier(u)) return;
+          const weight_t w = g.weight(e);
+          const double k = key[u] + w;
+          if (k < bk || (k == bk && u < bu)) {
+            bk = k;
+            bu = u;
+            bw = hops[u] + w;
+          }
+        });
+    tally.add(deg);
+    if (bu != kNoVertex) {
+      engine.push_from_worker(static_cast<std::uint64_t>(bk) + cal_off,
+                              EstProposal{v, bu, bk, bw});
+    }
+    return deg;
   };
 
-  // A round below this many items (proposals for the reduce, frontier
-  // edges for the expansion — the relaxer's prefix scan supplies the
-  // latter) runs entirely on one worker: plain writes, no atomics, direct
-  // calendar pushes, no barriers. The decision depends only on the
-  // (deterministic) round contents, so counters match at every thread
-  // count; output is bit-identical either way because both paths compute
-  // the same (key, via) argmin. The round policy sets the cut (zero: every
-  // round through the team stages).
-  const std::size_t seq_threshold = relaxer.seq_threshold();
   // Per-stage chunk for the proposal-indexed phases below.
   constexpr std::size_t kStageGrain = 512;
 
@@ -275,160 +308,50 @@ Clustering est_cluster(const Graph& g, double beta, std::uint64_t seed,
       // ties break toward the smaller via-vertex, so the winner — and
       // with it the whole clustering — is independent of thread count and
       // schedule. Proposals for vertices settled in earlier rounds ride
-      // along dead; each phase skips them with one relaxed load. The
-      // sequential-round form performs the same passes with plain writes.
-      const bool seq_round = props.size() <= seq_threshold;
-      std::uint64_t live = 0;
-      std::size_t settled_now = 0;
-      if (seq_round) {
-        newly.clear();
-        for (const EstProposal& p : props) {
-          if (!alive(p)) continue;
-          ++live;
-          if (p.key < best_key[p.v].load(std::memory_order_relaxed)) {
-            best_key[p.v].store(p.key, std::memory_order_relaxed);
-          }
+      // along dead; each phase skips them with one relaxed load. A bucket
+      // of at most kInlineRoundItems proposals runs every phase on the
+      // driver alone (a stage grain of the whole bucket, which Team::loop
+      // runs inline); the cut reads round contents only, so the round
+      // counters match at every thread count.
+      const bool on_driver = props.size() <= FrontierRelaxer::kInlineRoundItems;
+      const std::size_t grain = on_driver ? props.size() : kStageGrain;
+      team.loop(0, props.size(), grain, [&](std::size_t i) {
+        const EstProposal& p = props[i];
+        if (!alive(p)) return;
+        tally.add(1);
+        atomic_write_min(&best_key[p.v], p.key);
+      });
+      const std::uint64_t live = tally.drain();
+      if (live == 0) continue;  // a fully-stale bucket is not a round
+      ws.counts().add_round(on_driver);
+      team.loop(0, props.size(), grain, [&](std::size_t i) {
+        const EstProposal& p = props[i];
+        if (alive(p) && p.key == best_key[p.v].load(std::memory_order_relaxed)) {
+          atomic_write_min(&best_via[p.v], p.via);
         }
-        if (live == 0) continue;  // a fully-stale bucket is not a round
-        ws.counts().add_round(/*on_sequential=*/true);
-        for (const EstProposal& p : props) {
-          if (alive(p) &&
-              p.key == best_key[p.v].load(std::memory_order_relaxed) &&
-              p.via < best_via[p.v].load(std::memory_order_relaxed)) {
-            best_via[p.v].store(p.via, std::memory_order_relaxed);
-          }
+      });
+      team.loop(0, props.size(), grain, [&](std::size_t i) {
+        const EstProposal& p = props[i];
+        if (p.key == best_key[p.v].load(std::memory_order_relaxed) &&
+            p.via == best_via[p.v].load(std::memory_order_relaxed)) {
+          settle(p);
         }
-        for (const EstProposal& p : props) {
-          if (p.key == best_key[p.v].load(std::memory_order_relaxed) &&
-              p.via == best_via[p.v].load(std::memory_order_relaxed)) {
-            settle_seq(p);
-          }
-        }
-        for (const EstProposal& p : props) {
-          best_key[p.v].store(kInfWeight, std::memory_order_relaxed);
-          best_via[p.v].store(kNoVertex, std::memory_order_relaxed);
-        }
-      } else {
-        team.loop(0, props.size(), kStageGrain, [&](std::size_t i) {
-          const EstProposal& p = props[i];
-          if (!alive(p)) return;
-          tally.add(1);
-          atomic_write_min(&best_key[p.v], p.key);
-        });
-        live = tally.drain();
-        if (live == 0) continue;  // a fully-stale bucket is not a round
-        ws.counts().add_round(/*on_sequential=*/false);
-        team.loop(0, props.size(), kStageGrain, [&](std::size_t i) {
-          const EstProposal& p = props[i];
-          if (alive(p) && p.key == best_key[p.v].load(std::memory_order_relaxed)) {
-            atomic_write_min(&best_via[p.v], p.via);
-          }
-        });
-        team.loop(0, props.size(), kStageGrain, [&](std::size_t i) {
-          const EstProposal& p = props[i];
-          if (p.key == best_key[p.v].load(std::memory_order_relaxed) &&
-              p.via == best_via[p.v].load(std::memory_order_relaxed)) {
-            settle(p);
-          }
-        });
-        // Reset the scratch minima for next rounds (touched only).
-        team.loop(0, props.size(), kStageGrain, [&](std::size_t i) {
-          best_key[props[i].v].store(kInfWeight, std::memory_order_relaxed);
-          best_via[props[i].v].store(kNoVertex, std::memory_order_relaxed);
-        });
-      }
+      });
+      // Reset the scratch minima for next rounds (touched only).
+      team.loop(0, props.size(), grain, [&](std::size_t i) {
+        best_key[props[i].v].store(kInfWeight, std::memory_order_relaxed);
+        best_via[props[i].v].store(kNoVertex, std::memory_order_relaxed);
+      });
       ++rounds;
       wd::add_round();
       wd::add_work(live);
-      // Concatenate the per-worker winner lists with an exclusive scan.
-      // A sequential round wrote `newly` directly and staged nothing.
-      if (!seq_round) {
-        std::vector<std::size_t>& offset = ws.offset_;
-        for (std::size_t t = 0; t < workers; ++t) offset[t] = newly_local[t].size();
-        settled_now = exclusive_scan_inplace(offset);
-        newly.resize(settled_now);
-        team.loop(0, workers, 1, [&](std::size_t t) {
-          std::copy(newly_local[t].begin(), newly_local[t].end(),
-                    newly.begin() + offset[t]);
-          newly_local[t].clear();
-        });
-      } else {
-        settled_now = newly.size();
-      }
-      assigned += static_cast<vid>(settled_now);
+      concat_worker_lists(team, newly_local, ws.offset_, newly);
+      assigned += static_cast<vid>(newly.size());
 
-      // Expand: settled vertices propagate along their edges into
-      // strictly later buckets (w >= 1). Scheduling is degree-aware and
-      // adaptive: above the threshold the relaxer splits the round's edge
-      // total into stolen ranges across the team (a hub vertex is
-      // expanded by many workers); at or below it the whole expansion
-      // runs on this thread with direct calendar pushes — no staging, no
-      // flush. The proposal multiset is partition-independent and the
-      // min-reduce above order-independent, so the output is identical.
-      // One body, two emission routes: the sequential round places
-      // straight into the calendar, the parallel round stages per worker.
-      auto expand_with = [&](auto push) {
-        return [&, push](std::size_t i, std::size_t lo, std::size_t hi) {
-          const vid u = newly[i];
-          tally.add(hi - lo);
-          g.for_arcs(
-              u, lo, hi,
-              [&](vid ahead) { prefetch_read(&center[ahead]); },
-              [&](eid e, vid v) {
-                if (center[v].load(std::memory_order_relaxed) != kNoVertex) return;
-                const weight_t w = g.weight(e);
-                assert(w >= 1 && w == std::floor(w) &&
-                       "est_cluster requires positive integer weights");
-                const double k = key[u] + w;
-                push(static_cast<std::uint64_t>(k) + cal_off,
-                     EstProposal{v, u, k, hops[u] + w});
-              });
-        };
-      };
-      // Pull candidate scan for dense rounds: an open vertex scans its own
-      // (symmetric, equal-mirror-weight) adjacency for frontier neighbours
-      // and emits at most its lexicographic (key, via) minimum — exactly
-      // the proposal the push multiset's min-reduce would have settled,
-      // with k = key[u] + w the same double operation either way, so the
-      // clustering is bit-identical. The suppressed proposals are strict
-      // losers of that very reduce (a later-bucket loser finds v settled
-      // at or before the winner's bucket and dies in the alive() filter).
-      auto pull_expand = [&](vid v) -> std::size_t {
-        if (center[v].load(std::memory_order_relaxed) != kNoVertex) return 0;
-        const std::size_t deg = g.degree(v);
-        double bk = kInfWeight;
-        vid bu = kNoVertex;
-        weight_t bw = 0;
-        g.for_arcs(
-            v, 0, deg,
-            [&](vid ahead) { relaxer.prefetch_frontier_bit(ahead); },
-            [&](eid e, vid u) {
-              if (!relaxer.in_frontier(u)) return;
-              const weight_t w = g.weight(e);
-              const double k = key[u] + w;
-              if (k < bk || (k == bk && u < bu)) {
-                bk = k;
-                bu = u;
-                bw = hops[u] + w;
-              }
-            });
-        tally.add(deg);
-        if (bu != kNoVertex) {
-          engine.push_from_worker(static_cast<std::uint64_t>(bk) + cal_off,
-                                  EstProposal{v, bu, bk, bw});
-        }
-        return deg;
-      };
       relaxer.relax(
           team, newly, g.num_vertices(), g.num_arcs(),
           [&](std::size_t i) { return static_cast<std::size_t>(g.degree(newly[i])); },
-          expand_with([&](std::uint64_t b, EstProposal p) {
-            engine.push(b, std::move(p));
-          }),
-          expand_with([&](std::uint64_t b, EstProposal p) {
-            engine.push_from_worker(b, std::move(p));
-          }),
-          pull_expand);
+          expand, pull_expand);
       if (!g.has_flat_adjacency()) ++ws.counts().compressed;
       wd::add_work(tally.drain());
     }

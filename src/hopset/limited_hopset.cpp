@@ -1,9 +1,11 @@
 #include "hopset/limited_hopset.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "hopset/hopset.hpp"
 #include "hopset/rounding.hpp"
+#include "parallel/sort.hpp"
 
 namespace parsh {
 
@@ -51,6 +53,23 @@ LimitedHopsetResult build_limited_hopset(const Graph& g, const LimitedHopsetPara
     out.edges.insert(out.edges.end(), added_this_iter.begin(), added_this_iter.end());
     work = work.with_extra_edges(added_this_iter);
   }
+  // Scales and iterations rediscover the same pairs many times over. Keep
+  // one edge per unordered pair at its minimum weight, sorted by (u, v)
+  // with u < v: with_extra_edges keeps the minimum of parallel edges
+  // anyway, so the augmented graph is unchanged.
+  for (Edge& e : out.edges) {
+    if (e.v < e.u) std::swap(e.u, e.v);
+  }
+  parallel_sort(out.edges, [](const Edge& a, const Edge& b) {
+    if (a.u != b.u) return a.u < b.u;
+    if (a.v != b.v) return a.v < b.v;
+    return a.w < b.w;
+  });
+  out.edges.erase(std::unique(out.edges.begin(), out.edges.end(),
+                              [](const Edge& a, const Edge& b) {
+                                return a.u == b.u && a.v == b.v;
+                              }),
+                  out.edges.end());
   return out;
 }
 

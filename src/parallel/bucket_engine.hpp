@@ -13,21 +13,17 @@
 //    ordered overflow store for keys beyond the window — memory stays
 //    proportional to the items pending, not to the key range, which matters
 //    after Klein-Subramanian weight rounding blows up the range;
-//  * per-worker staging buffers so expansions running under parallel_for
+//  * per-worker staging buffers so expansions running as team stages
 //    emit with plain push_backs instead of locks (push_from_worker); the
 //    buffers are compacted into the calendar with an exclusive-scan concat
-//    at round boundaries (flush), never a serial per-item append race;
-//  * one pop_round == one synchronous round; flush/pop_round take an
-//    optional TeamLike so their internal parallel move runs as a stage of
-//    the caller's persistent team (parallel/team.hpp) instead of a
-//    drive of its own;
+//    at round boundaries, never a serial per-item append race;
+//  * one pop_round == one synchronous round; its staging flush runs as a
+//    stage of the caller's persistent team (parallel/team.hpp);
 //  * a degree-aware FrontierRelaxer that schedules one round's edge
-//    relaxations adaptively: bounded EDGE ranges dynamically claimed by
-//    the team's workers (a skewed frontier — one hub vertex carrying most
-//    of the round's edges — still spreads across all workers), a
-//    whole-vertex stage for mid-size rounds, and a sequential fast path
-//    (one worker, plain writes, direct pushes) below
-//    kSequentialRoundEdges.
+//    relaxations: bounded EDGE ranges dynamically claimed by the team's
+//    workers (a skewed frontier — one hub vertex carrying most of the
+//    round's edges — still spreads across all workers), and for a round
+//    of at most one range the same body on the driver alone.
 //
 // Keys must never fall behind the engine's current base (the key of the
 // last popped round): all consumers emit at key + w with w >= 0.
@@ -146,11 +142,8 @@ class BucketEngine {
         staging_(static_cast<std::size_t>(num_workers())),
         offset_scratch_(staging_.size()) {}
 
-  /// Push from sequential context (seeding, single-threaded consumers).
-  void push(std::uint64_t key, Item item) { place_(key, std::move(item)); }
-
-  /// Push from inside a parallel expansion: lands in the calling worker's
-  /// staging buffer; visible after the next flush()/pop_round().
+  /// Push from a stage body or from the driver: lands in the calling
+  /// worker's staging buffer; visible after the next pop_round().
   void push_from_worker(std::uint64_t key, Item item) {
     std::vector<Staged>& buf = staging_[static_cast<std::size_t>(worker_id())];
     if (buf.size() == buf.capacity()) note_alloc_();
@@ -194,56 +187,29 @@ class BucketEngine {
   }
 
 
-  /// Compact the per-worker staging buffers into the calendar: an
-  /// exclusive scan over buffer sizes + parallel move into one contiguous
-  /// block, then a single ordered placement pass (no comparisons, no map
-  /// lookups for in-window keys). The standalone form (a parallel_for_grain
-  /// drive of its own); inside a persistent team pass the team so the
-  /// move stage runs across it.
-  void flush() {
-    flush_moved_([&](std::size_t workers, auto&& move_one) {
-      parallel_for_grain(0, workers, 1, move_one);
-    });
-  }
-
-  /// flush() with the multi-producer move running as one stage of
-  /// `team` (a parsh::Team or anything with its loop() signature).
-  template <typename TeamLike>
-  void flush(TeamLike& team) {
-    flush_moved_([&](std::size_t workers, auto&& move_one) {
-      team.loop(0, workers, 1, move_one);
-    });
-  }
-
   /// Pop the least pending bucket into `out` (replacing its contents);
   /// returns the bucket's key, or kNoBucket when drained. One pop is one
-  /// synchronous round.
-  std::uint64_t pop_round(std::vector<Item>& out) {
-    flush();
-    return pop_flushed_(out);
-  }
-
-  /// pop_round() with the staging flush staged on `team`.
+  /// synchronous round. Call from the driver of `team` (a parsh::Team or
+  /// anything with its loop() signature), between stages: the staging
+  /// flush's multi-producer move runs as one stage of it.
   template <typename TeamLike>
   std::uint64_t pop_round(TeamLike& team, std::vector<Item>& out) {
-    flush(team);
+    flush_(team);
     return pop_flushed_(out);
   }
 
   /// Open calendar slots (the configured span).
   [[nodiscard]] std::size_t span() const { return index_.span(); }
 
-  /// Total items ever pushed (staged + placed); a work proxy for benches.
-  [[nodiscard]] std::uint64_t pushed() const { return pushed_; }
-
  private:
   using Staged = std::pair<std::uint64_t, Item>;
 
-  /// The flush body, parameterized over how the multi-producer move loop
-  /// is scheduled (a parallel_for_grain drive vs a persistent-team
-  /// stage — same iterations either way).
-  template <typename MoveLoop>
-  void flush_moved_(MoveLoop&& move_loop) {
+  /// Compact the per-worker staging buffers into the calendar: an
+  /// exclusive scan over buffer sizes + a move stage into one contiguous
+  /// block, then a single ordered placement pass (no comparisons, no map
+  /// lookups for in-window keys).
+  template <typename TeamLike>
+  void flush_(TeamLike& team) {
     const std::size_t workers = staging_.size();
     std::size_t nonempty = 0;
     std::size_t last = 0;
@@ -266,7 +232,7 @@ class BucketEngine {
     const std::size_t total = exclusive_scan_inplace(offset);
     if (total > merge_scratch_.capacity()) note_alloc_();
     merge_scratch_.resize(total);
-    move_loop(workers, [&](std::size_t t) {
+    team.loop(0, workers, 1, [&](std::size_t t) {
       std::size_t at = offset[t];
       for (Staged& s : staging_[t]) merge_scratch_[at++] = std::move(s);
       staging_[t].clear();
@@ -308,7 +274,6 @@ class BucketEngine {
   }
 
   void place_(std::uint64_t key, Item item) {
-    ++pushed_;
     if (!index_.in_window(key)) {
       if (key < index_.base_key()) {
         // Consumer contract violation (emitting into the past); clamp so
@@ -370,35 +335,23 @@ class BucketEngine {
   std::vector<std::vector<Item>> calendar_;  // circular, index_.span() slots
   std::map<std::uint64_t, std::vector<Item>> overflow_;
   std::vector<std::vector<Staged>> staging_;  // one buffer per worker
-  std::vector<std::size_t> offset_scratch_;   // flush(): per-worker sizes/offsets
-  std::vector<Staged> merge_scratch_;         // flush(): multi-producer concat
-  std::uint64_t pushed_ = 0;
+  std::vector<std::size_t> offset_scratch_;   // flush_(): per-worker sizes/offsets
+  std::vector<Staged> merge_scratch_;         // flush_(): multi-producer concat
   std::atomic<std::uint64_t> alloc_events_{0};
 };
 
-/// How the round-synchronous drivers schedule their rounds. The
-/// default-constructed policy is the production schedule; every other
-/// value exists so the equivalence tests can pin one mechanism against
-/// another. Output is bit-identical under every policy (the determinism
-/// contract); only the work counters and the schedule move.
+/// How the round-synchronous drivers schedule their rounds: the
+/// direction of the direction-capable expansion. The default-constructed
+/// policy is the production schedule; the forced directions exist so the
+/// equivalence tests can pin push against pull. Output is bit-identical
+/// under every policy (the determinism contract); only the counters move.
 struct RoundPolicy {
-  /// How a round's work is spread over the team.
-  enum class Rounds : std::uint8_t {
-    kAdaptive,     ///< sequential fast path at or below
-                   ///< FrontierRelaxer::kSequentialRoundEdges items,
-                   ///< team stages above
-    kAllParallel,  ///< every round through the team stages
-    kVertexGrain,  ///< kAllParallel, with every expansion as whole-vertex
-                   ///< stages: no stolen edge ranges and no pull
-  };
-  /// Which way a direction-capable expansion runs.
   enum class Direction : std::uint8_t {
     kAuto,  ///< the edge-fraction hysteresis (FrontierRelaxer)
     kPush,
     kPull,
   };
 
-  Rounds rounds = Rounds::kAdaptive;
   Direction direction = env_direction();
 
   /// The default direction: kPull when PARSH_FORCE_PULL is set to
@@ -412,8 +365,8 @@ struct RoundPolicy {
   }
 };
 
-/// Adaptive degree-aware work distribution for one round's edge
-/// relaxations, with direction-optimized (push/pull) dense rounds.
+/// Degree-aware work distribution for one round's edge relaxations, with
+/// direction-optimized (push/pull) dense rounds.
 ///
 /// The synchronous-round consumers all share one expansion shape: for each
 /// frontier vertex, visit its adjacency and emit proposals. Handing whole
@@ -424,11 +377,10 @@ struct RoundPolicy {
 /// prefix sum over the frontier degrees locates each range's vertices) and
 /// runs them as one dynamically-claimed stage of the caller's Team — each
 /// worker takes the next unclaimed range as it goes idle, so a hub's
-/// adjacency is relaxed by many workers at once. Rounds whose edge total
-/// is at most seq_threshold() instead run entirely on the
-/// driver thread through a dedicated sequential body (plain writes,
-/// direct calendar pushes — the adaptive sequential round fast path; see
-/// docs/ARCHITECTURE.md "Round scheduling").
+/// adjacency is relaxed by many workers at once. A round of at most one
+/// range is that stage's single chunk, which Team::loop runs on the driver
+/// alone: the same body, without the wake-up and barrier (see
+/// docs/ARCHITECTURE.md "Inline rounds, one body").
 ///
 /// Direction optimization (Beamer-style push/pull switching): the
 /// frontier-aware overload of relax() additionally compares the round's
@@ -446,19 +398,17 @@ struct RoundPolicy {
 ///
 /// Determinism contract: relax() only changes HOW the per-edge body calls
 /// are scheduled, never the resulting argmin — every frontier edge is
-/// visited exactly once on the push paths, and the pull body emits a
+/// visited exactly once on the push path, and the pull body emits a
 /// proposal multiset whose per-vertex (key, via) minima are identical to
 /// the push multiset's (the suppressed proposals are strict losers of the
 /// very reduction that resolves them; see docs/ARCHITECTURE.md "Round
 /// scheduling"). The path choice depends only on (frontier, degrees,
 /// policy, m, direction state), never on the schedule. All consumers
 /// resolve concurrent writes with the order-independent CRCW min-reduces
-/// in parallel/atomics.hpp (their sequential bodies computing the same
-/// argmin with plain writes), so output is bit-identical across
-/// sequential / vertex-grain / edge-grain / pull scheduling and across
-/// thread counts (pinned by tests/test_work_stealing.cpp,
-/// tests/test_direction_optimizing.cpp and the TeamRounds suite, via
-/// RoundPolicy).
+/// in parallel/atomics.hpp, so output is bit-identical across inline /
+/// edge-range / pull scheduling and across thread counts (pinned by
+/// tests/test_work_stealing.cpp, tests/test_direction_optimizing.cpp and
+/// the TeamRounds suite).
 ///
 /// Reuse: the prefix-sum scratch and the frontier bitmap are grown
 /// monotonically and never shrunk (warm calls allocate nothing);
@@ -471,15 +421,15 @@ class FrontierRelaxer {
   /// splits across every worker, large enough that the per-range queue
   /// traffic (one dynamic-schedule dequeue) stays amortized.
   static constexpr std::size_t kEdgeGrain = 2048;
-  /// Frontier chunk handed to a worker on the whole-vertex path (the
-  /// pre-existing grain of the consumers' expansion loops).
-  static constexpr std::size_t kVertexGrain = 64;
-  /// Default adaptive threshold: a round whose frontier edge total is at
-  /// most this runs entirely on one worker (the sequential fast path —
-  /// plain writes, direct calendar pushes). Equal to kEdgeGrain: below
-  /// one stolen range the parallel path could not split the work anyway,
-  /// so the fast path only removes overhead, never parallelism.
-  static constexpr std::size_t kSequentialRoundEdges = kEdgeGrain;
+  /// A round of at most this many items (frontier edges for the relax,
+  /// proposals for est_cluster's reduce) runs all its stages on the
+  /// driver alone. Equal to kEdgeGrain: below one stolen range the relax
+  /// could not split the work anyway, so running inline only removes
+  /// overhead, never parallelism.
+  static constexpr std::size_t kInlineRoundItems = kEdgeGrain;
+  /// Vertices per dynamically-claimed chunk of a pull round's candidate
+  /// stage.
+  static constexpr std::size_t kCandidateGrain = 64;
 
   /// Direction-switch thresholds, as divisors of m: enter pull when a
   /// round's frontier edge total reaches m / kPullEnterDivisor, and stay
@@ -502,25 +452,16 @@ class FrontierRelaxer {
   static constexpr std::size_t kBitGrain = 2048;
 
   /// What relax() decided for one round: the frontier's total edge count
-  /// (from the degree prefix scan), whether the round ran on the
-  /// sequential fast path, and whether it ran pull.
+  /// (from the degree prefix scan), whether the round ran on the driver
+  /// alone, and whether it ran pull.
   struct RoundPlan {
     std::size_t edges = 0;
-    bool sequential = false;
+    bool on_driver = false;
     bool pull = false;
   };
 
   /// The scheduling policy for every later relax().
   void set_policy(const RoundPolicy& policy) { policy_ = policy; }
-  [[nodiscard]] const RoundPolicy& policy() const { return policy_; }
-
-  /// Rounds of at most this many items run on the sequential fast path:
-  /// kSequentialRoundEdges under the adaptive policy, 0 (never) otherwise.
-  /// The consumers apply the same cut to their own per-round reduces.
-  [[nodiscard]] std::size_t seq_threshold() const {
-    return policy_.rounds == RoundPolicy::Rounds::kAdaptive ? kSequentialRoundEdges
-                                                            : 0;
-  }
 
   /// Reset the direction hysteresis for a fresh run (drivers call this
   /// once per run so one run's dense tail never bleeds pull mode into the
@@ -536,12 +477,10 @@ class FrontierRelaxer {
     pull_exit_div_ = exit_div;
   }
 
-  /// Rounds scheduled as stolen edge ranges / as whole vertices / as pull
-  /// (bitmap) rounds (cumulative; diagnostics and tests). Sequential
-  /// fast-path rounds are counted by the consumer (RoundScheduler), from
-  /// RoundPlan::sequential.
+  /// Rounds scheduled as stolen edge ranges / as pull (bitmap) rounds
+  /// (cumulative; diagnostics and tests). Rounds on the driver alone are
+  /// counted by the consumer (RoundScheduler), from RoundPlan::on_driver.
   [[nodiscard]] std::uint64_t edge_grain_rounds() const { return edge_grain_rounds_; }
-  [[nodiscard]] std::uint64_t vertex_grain_rounds() const { return vertex_grain_rounds_; }
   [[nodiscard]] std::uint64_t pull_rounds() const { return pull_rounds_; }
   /// Edges examined by pull-round candidate scans (cumulative; the
   /// direction heuristic's payoff is this growing slower than the pushed
@@ -563,53 +502,32 @@ class FrontierRelaxer {
 
   /// Bench hook: while `sink` is non-null, every relax() appends its
   /// round's frontier edge total (the per-round histogram the scaling
-  /// bench records so the adaptive threshold stays tunable from data).
+  /// bench records so the inline cut stays tunable from data).
   void record_round_edges(std::vector<std::size_t>* sink) { round_edges_sink_ = sink; }
 
   /// Visit every out-edge of a frontier of `frontier` vertices:
-  /// `degree_of(i)` is frontier vertex i's edge count, and each body must
-  /// process frontier vertex i's local edge offsets [lo, hi) — consumers
-  /// map them onto the CSR as g.begin(u) + lo. Ranges never split an edge
-  /// and cover each edge exactly once.
+  /// `degree_of(i)` is frontier vertex i's edge count, and `body(i, lo,
+  /// hi)` must process frontier vertex i's local edge offsets [lo, hi) —
+  /// consumers map them onto the CSR as g.begin(u) + lo. Ranges never
+  /// split an edge and cover each edge exactly once.
   ///
-  /// The round is scheduled adaptively, all choices depending only on
-  /// (frontier, degrees, policy) — never on the schedule — so the plan and
-  /// the counters are deterministic:
-  ///  * edge total <= seq_threshold(): `seq_body` runs for every frontier
-  ///    vertex on the calling thread. It may use plain (non-atomic)
-  ///    writes and direct engine pushes — no other thread touches shared
-  ///    state during the round.
-  ///  * otherwise `par_body` runs inside `team` stages (one stolen-range
-  ///    stage above kEdgeGrain, a whole-vertex stage below or under
-  ///    RoundPolicy::Rounds::kVertexGrain) and must only write through
-  ///    atomics / per-worker state.
-  /// Both bodies must perform the same per-edge effect; every consumer
-  /// funnels concurrent effects through order-independent CRCW reduces,
-  /// so which body ran is unobservable in the output (the determinism
-  /// contract, docs/ARCHITECTURE.md).
+  /// The body runs inside `team` stages and must only write through
+  /// atomics / per-worker state. Above kEdgeGrain edges the round is one
+  /// stage of stolen edge ranges; at or below it, the stage's single
+  /// range runs on the calling thread. The choice depends only on the
+  /// (deterministic) frontier degrees, never on the schedule, so the plan
+  /// and the counters are deterministic; every consumer funnels
+  /// concurrent effects through order-independent CRCW reduces, so the
+  /// schedule is unobservable in the output (the determinism contract,
+  /// docs/ARCHITECTURE.md).
   ///
   /// Call from the driver thread, between rounds.
-  template <typename TeamLike, typename Deg, typename SeqBody, typename ParBody>
-  RoundPlan relax(TeamLike& team, std::size_t frontier, Deg&& degree_of,
-                  SeqBody&& seq_body, ParBody&& par_body) {
-    if (frontier == 0) return {0, false};
-    if (policy_.rounds == RoundPolicy::Rounds::kVertexGrain) {
-      // Plain degree pass for the total (the scan does not run here),
-      // then the parallel whole-vertex schedule.
-      std::size_t total = 0;
-      for (std::size_t i = 0; i < frontier; ++i) {
-        total += static_cast<std::size_t>(degree_of(i));
-      }
-      record_(total);
-      ++vertex_grain_rounds_;
-      team.loop(0, frontier, kVertexGrain, [&](std::size_t i) {
-        par_body(i, std::size_t{0}, static_cast<std::size_t>(degree_of(i)));
-      });
-      return {total, false};
-    }
+  template <typename TeamLike, typename Deg, typename Body>
+  RoundPlan relax(TeamLike& team, std::size_t frontier, Deg&& degree_of, Body&& body) {
+    if (frontier == 0) return {};
     const std::size_t total = scan_degrees_(team, frontier, degree_of);
     record_(total);
-    return push_round_(team, frontier, total, seq_body, par_body);
+    return push_round_(team, frontier, total, body);
   }
 
   /// Direction-aware relax(): the same contract as above, plus the pull
@@ -623,18 +541,12 @@ class FrontierRelaxer {
   /// stages and must only write through atomics / per-worker state.
   ///
   /// Direction is decided from the (deterministic) edge total before the
-  /// sequential fast path, so a dense round never falls into the
-  /// sequential push body.
-  template <typename TeamLike, typename Deg, typename SeqBody, typename ParBody,
-            typename PullBody>
+  /// inline cut, so a dense round always runs pull.
+  template <typename TeamLike, typename Deg, typename Body, typename PullBody>
   RoundPlan relax(TeamLike& team, const std::vector<vid>& frontier,
                   std::size_t num_vertices, std::uint64_t num_arcs, Deg&& degree_of,
-                  SeqBody&& seq_body, ParBody&& par_body, PullBody&& pull_body) {
-    if (frontier.empty()) return {0, false, false};
-    if (policy_.rounds == RoundPolicy::Rounds::kVertexGrain) {
-      // The vertex-grain policy pins the push scheduler outright.
-      return relax(team, frontier.size(), degree_of, seq_body, par_body);
-    }
+                  Body&& body, PullBody&& pull_body) {
+    if (frontier.empty()) return {};
     const std::size_t total = scan_degrees_(team, frontier.size(), degree_of);
     record_(total);
     if (decide_direction_(total, num_vertices, num_arcs)) {
@@ -642,38 +554,22 @@ class FrontierRelaxer {
       run_pull_(team, frontier, num_vertices, pull_body);
       return {total, false, true};
     }
-    return push_round_(team, frontier.size(), total, seq_body, par_body);
+    return push_round_(team, frontier.size(), total, body);
   }
 
  private:
-  /// The push scheduling tail shared by both relax() overloads: prefix_
-  /// already holds the frontier's degree scan and `total` its sum.
-  template <typename TeamLike, typename SeqBody, typename ParBody>
+  /// The push schedule shared by both relax() overloads: prefix_ already
+  /// holds the frontier's degree scan and `total` its sum. One stage of
+  /// kEdgeGrain-edge ranges; a round of at most one range is a
+  /// single-chunk stage, which Team::loop runs on the driver.
+  template <typename TeamLike, typename Body>
   RoundPlan push_round_(TeamLike& team, std::size_t frontier, std::size_t total,
-                        SeqBody& seq_body, ParBody& par_body) {
-    // A zero threshold (every non-adaptive policy) disables the fast path
-    // outright — even for empty rounds.
-    const std::size_t seq_threshold = this->seq_threshold();
-    if (seq_threshold != 0 && total <= seq_threshold) {
-      // The adaptive sequential fast path: one worker, no staging, no
-      // atomics needed by the body.
-      for (std::size_t i = 0; i < frontier; ++i) {
-        const std::size_t deg = prefix_[i + 1] - prefix_[i];
-        if (deg != 0) seq_body(i, std::size_t{0}, deg);
-      }
-      return {total, true};
-    }
-    if (total <= kEdgeGrain) {
-      // One range's worth of edges: the split cannot help, and the
-      // whole-vertex path skips the chunk queue.
-      ++vertex_grain_rounds_;
-      team.loop(0, frontier, kVertexGrain, [&](std::size_t i) {
-        par_body(i, std::size_t{0}, prefix_[i + 1] - prefix_[i]);
-      });
-      return {total, false};
-    }
-    ++edge_grain_rounds_;
+                        Body& body) {
+    static_assert(kInlineRoundItems == kEdgeGrain,
+                  "the inline cut is one stolen range");
     const std::size_t chunks = (total + kEdgeGrain - 1) / kEdgeGrain;
+    const bool on_driver = chunks <= 1;
+    if (!on_driver) ++edge_grain_rounds_;
     team.loop(0, chunks, 1, [&](std::size_t c) {
       const std::size_t e0 = c * kEdgeGrain;
       const std::size_t e1 = std::min(total, e0 + kEdgeGrain);
@@ -681,13 +577,12 @@ class FrontierRelaxer {
       for (; i < frontier && prefix_[i] < e1; ++i) {
         const std::size_t lo = e0 > prefix_[i] ? e0 - prefix_[i] : 0;
         const std::size_t hi = std::min(e1, prefix_[i + 1]) - prefix_[i];
-        if (lo < hi) par_body(i, lo, hi);
+        if (lo < hi) body(i, lo, hi);
       }
     });
-    return {total, false};
+    return {total, on_driver};
   }
 
- private:
   void record_(std::size_t total) {
     if (round_edges_sink_ != nullptr) round_edges_sink_->push_back(total);
   }
@@ -798,7 +693,7 @@ class FrontierRelaxer {
       bitmap_[u >> 6].fetch_or(std::uint64_t{1} << (u & 63),
                                std::memory_order_relaxed);
     });
-    team.loop(0, num_vertices, kVertexGrain, [&](std::size_t v) {
+    team.loop(0, num_vertices, kCandidateGrain, [&](std::size_t v) {
       pull_tally_.add(pull_body(static_cast<vid>(v)));
     });
     team.loop(0, frontier.size(), kBitGrain, [&](std::size_t i) {
@@ -814,7 +709,6 @@ class FrontierRelaxer {
   std::size_t pull_tally_workers_ = static_cast<std::size_t>(num_workers());
   std::vector<std::size_t>* round_edges_sink_ = nullptr;  // bench histogram
   std::uint64_t edge_grain_rounds_ = 0;
-  std::uint64_t vertex_grain_rounds_ = 0;
   std::uint64_t pull_rounds_ = 0;
   std::uint64_t pull_edges_scanned_ = 0;
   std::uint64_t pull_enter_div_ = kPullEnterDivisor;

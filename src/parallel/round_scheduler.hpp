@@ -1,10 +1,10 @@
 // Round-scheduling state shared by the frontier workspaces.
 //
 // EstClusterWorkspace and SsspWorkspace drive the same kind of loop: one
-// synchronous round at a time, each round's min-reduce on the sequential
-// fast path or the persistent team (parallel/team.hpp), each expansion
-// through a FrontierRelaxer. RoundScheduler owns what those loops share:
-// the relaxer (which holds the RoundPolicy), and the per-round counters
+// synchronous round at a time, each round's stages on the persistent team
+// (parallel/team.hpp) or, for a small round, on the driver alone, each
+// expansion through a FrontierRelaxer. RoundScheduler owns what those
+// loops share: the relaxer (which holds the RoundPolicy), and the per-round counters
 // the equivalence tests and benches read. Both workspaces derive from it,
 // so the policy setter and every counter getter exist once. Its public
 // surface is exactly those; the relaxer and the counters themselves are
@@ -15,6 +15,7 @@
 // never on the thread count or schedule.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -27,13 +28,36 @@ namespace parsh {
 /// one, behind its protected counts(); the drivers hand it to their
 /// (non-friend) round helpers by reference.
 struct RoundCounts {
-  std::uint64_t sequential = 0;  // rounds on the sequential fast path
-  std::uint64_t team = 0;        // rounds through the team stages
+  std::uint64_t sequential = 0;  // rounds run on the driver alone
+  std::uint64_t team = 0;        // rounds run across the team
   std::uint64_t compressed = 0;  // rounds decoded from compressed adjacency
 
   /// One round (an est_cluster reduce, or a Bellman-Ford relax round).
-  void add_round(bool on_sequential) { ++(on_sequential ? sequential : team); }
+  void add_round(bool on_driver) { ++(on_driver ? sequential : team); }
 };
+
+/// Concatenate per-worker lists into `out` in worker order and clear
+/// them: the sizes are scanned on the driver into `offset` (one slot per
+/// list), then one copy stage of `team` — run on the driver when at most
+/// one list is nonempty (a round run on the driver alone, or any round at
+/// width 1). Call from the driver, between stages.
+template <typename TeamLike, typename T>
+void concat_worker_lists(TeamLike& team, std::vector<std::vector<T>>& lists,
+                         std::vector<std::size_t>& offset, std::vector<T>& out) {
+  const std::size_t workers = lists.size();
+  std::size_t total = 0;
+  std::size_t producers = 0;
+  for (std::size_t t = 0; t < workers; ++t) {
+    offset[t] = total;
+    total += lists[t].size();
+    producers += lists[t].empty() ? 0 : 1;
+  }
+  out.resize(total);
+  team.loop(0, workers, producers <= 1 ? workers : 1, [&](std::size_t t) {
+    std::copy(lists[t].begin(), lists[t].end(), out.begin() + offset[t]);
+    lists[t].clear();
+  });
+}
 
 class RoundScheduler {
  public:
@@ -41,8 +65,9 @@ class RoundScheduler {
   /// production schedule, with PARSH_FORCE_PULL seeding its direction).
   void set_round_policy(const RoundPolicy& policy) { relaxer_.set_policy(policy); }
 
-  /// Rounds run entirely on one worker via the sequential fast path /
-  /// through the team stages. The Dial search of weighted BFS is
+  /// Rounds whose stages all ran on the driver alone (at most
+  /// FrontierRelaxer::kInlineRoundItems items) / across the team. Both
+  /// run the same round body. The Dial search of weighted BFS is
   /// sequential per search and counts toward neither.
   [[nodiscard]] std::uint64_t sequential_rounds() const { return counts_.sequential; }
   [[nodiscard]] std::uint64_t team_rounds() const { return counts_.team; }
@@ -51,13 +76,10 @@ class RoundScheduler {
   /// compressed-vs-flat equivalence tests — outputs are bit-identical,
   /// this counter proves the compressed decode actually ran.
   [[nodiscard]] std::uint64_t compressed_rounds() const { return counts_.compressed; }
-  /// Expansions scheduled as stolen edge ranges / whole vertices / pull
-  /// (bitmap) rounds, and the edges the pull candidate scans examined.
+  /// Expansions scheduled as stolen edge ranges / pull (bitmap) rounds,
+  /// and the edges the pull candidate scans examined.
   [[nodiscard]] std::uint64_t edge_grain_rounds() const {
     return relaxer_.edge_grain_rounds();
-  }
-  [[nodiscard]] std::uint64_t vertex_grain_rounds() const {
-    return relaxer_.vertex_grain_rounds();
   }
   [[nodiscard]] std::uint64_t pull_rounds() const { return relaxer_.pull_rounds(); }
   [[nodiscard]] std::uint64_t pull_edges_scanned() const {

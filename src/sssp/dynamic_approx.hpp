@@ -155,10 +155,6 @@ class DynamicApproxShortestPaths {
   [[nodiscard]] vid num_vertices() const { return n_; }
   [[nodiscard]] const Params& params() const { return params_; }
 
-  /// The rebuild's warm clustering workspace, exposed so the determinism
-  /// suite can set its RoundPolicy (set_round_policy).
-  [[nodiscard]] EstClusterWorkspace& cluster_workspace() { return cluster_ws_; }
-
  private:
   Params params_;
   vid n_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 
 #include "graph/validation.hpp"
 #include "parallel/bucket_engine.hpp"
@@ -13,7 +14,7 @@ namespace parsh {
 namespace {
 
 /// The workspace pieces one Bellman-Ford round needs (built inside the
-/// friend entry points; this helper itself is not a friend).
+/// friend run helper below; the round itself is not a friend).
 struct BellmanFordRefs {
   std::vector<std::atomic<weight_t>>& dist;
   std::vector<vid>& touched;
@@ -34,13 +35,10 @@ struct BellmanFordRefs {
 /// relaxation reads the frontier distances as they stood at the START of
 /// the round (snapshot below), so after round h every vertex holds the
 /// exact minimum-weight <=h-hop distance — independent of schedule and
-/// thread count. (The pre-team code chained in-round improvements on one
-/// thread; that order-dependent shortcut is exactly what cannot
-/// parallelize deterministically, so the chained semantics became this
-/// barrier-separated stage.) Edge work is one adaptive relaxer round:
-/// stolen ranges across the persistent team, or — below the threshold —
-/// one worker with plain writes. First touches are recorded so the
-/// workspace can restore its dist-infinity invariant lazily.
+/// thread count. Edge work is one relaxer round: stolen ranges across the
+/// persistent team, or — at most one range — the same body on the driver
+/// alone. First touches are recorded so the workspace can restore its
+/// dist-infinity invariant lazily.
 ///
 /// With a `target` (kNoVertex: none), proposals at or above its
 /// round-start distance are dropped and vertices at or above its
@@ -65,32 +63,14 @@ void relax_round(const Graph& g, BellmanFordRefs& r, TeamLike& team,
   team.loop(0, r.frontier.size(), 512, [&](std::size_t i) {
     r.frontier_dist[i] = dist_of(r.frontier[i]);
   });
-  r.improved.clear();
+  // CRCW min via a CAS loop. The vertices appended are exactly those
+  // whose round-start distance some proposal beat (any successful CAS
+  // implies a strict improvement over the round-start value), so the
+  // deduped set is schedule-independent; the one CAS that observed
+  // infinity records the first touch.
   const auto plan = r.relaxer.relax(
       team, r.frontier.size(),
       [&](std::size_t i) { return static_cast<std::size_t>(g.degree(r.frontier[i])); },
-      // Sequential round: one worker, plain relaxed loads/stores, direct
-      // appends. A vertex may be improved several times (several frontier
-      // members reach it); each strict improvement appends once and the
-      // dedup below collapses them, matching the parallel path's set.
-      [&](std::size_t i, std::size_t lo, std::size_t hi) {
-        const vid u = r.frontier[i];
-        const weight_t du = r.frontier_dist[i];
-        g.for_arcs(u, lo, hi, [](vid) {}, [&](eid e, vid v) {
-          const weight_t nd = du + g.weight(e);
-          if (nd > dist_limit || nd >= bound) return;
-          const weight_t dv = dist_of(v);
-          if (nd >= dv) return;
-          r.dist[v].store(nd, std::memory_order_relaxed);
-          if (dv == kInfWeight) detail::push_counted(r.touched, v, r.allocs);
-          detail::push_counted(r.improved, v, r.allocs);
-        });
-      },
-      // Parallel round: CRCW min via a CAS loop. The vertices appended
-      // are exactly those whose round-start distance some proposal beat
-      // (any successful CAS implies a strict improvement over the
-      // round-start value), so the deduped set is schedule-independent;
-      // the one CAS that observed infinity records the first touch.
       [&](std::size_t i, std::size_t lo, std::size_t hi) {
         const vid u = r.frontier[i];
         const weight_t du = r.frontier_dist[i];
@@ -111,30 +91,19 @@ void relax_round(const Graph& g, BellmanFordRefs& r, TeamLike& team,
           }
         });
       });
-  r.counts.add_round(plan.sequential);
+  r.counts.add_round(plan.on_driver);
   if (!g.has_flat_adjacency()) ++r.counts.compressed;
   *relaxations += plan.edges;
   wd::add_work(plan.edges);
   wd::add_round();
-  if (!plan.sequential) {
-    // Concatenate the per-worker improver lists with an exclusive scan,
-    // and fold the first-touch lists into the workspace's touched set.
-    const std::size_t workers = r.newly_local.size();
-    for (std::size_t t = 0; t < workers; ++t) r.offset[t] = r.newly_local[t].size();
-    const std::size_t improved_now = exclusive_scan_inplace(r.offset);
-    if (improved_now > r.improved.capacity()) {
-      r.allocs.fetch_add(1, std::memory_order_relaxed);
-    }
-    r.improved.resize(improved_now);
-    team.loop(0, workers, 1, [&](std::size_t t) {
-      std::copy(r.newly_local[t].begin(), r.newly_local[t].end(),
-                r.improved.begin() + r.offset[t]);
-      r.newly_local[t].clear();
-    });
-    for (std::size_t t = 0; t < workers; ++t) {
-      for (vid v : r.touched_local[t]) detail::push_counted(r.touched, v, r.allocs);
-      r.touched_local[t].clear();
-    }
+  // Concatenate the per-worker improver lists, and fold the first-touch
+  // lists into the workspace's touched set.
+  const std::size_t capacity = r.improved.capacity();
+  concat_worker_lists(team, r.newly_local, r.offset, r.improved);
+  if (r.improved.capacity() != capacity) r.allocs.fetch_add(1, std::memory_order_relaxed);
+  for (std::vector<vid>& local : r.touched_local) {
+    for (vid v : local) detail::push_counted(r.touched, v, r.allocs);
+    local.clear();
   }
   // Dedup (a vertex may be improved via several frontier members; the
   // sort also makes the next frontier's order deterministic).
@@ -152,34 +121,25 @@ void relax_round(const Graph& g, BellmanFordRefs& r, TeamLike& team,
 
 }  // namespace
 
-HopLimitedStats hop_limited_sssp(const Graph& g, vid source, std::uint64_t h,
-                                 weight_t dist_limit, SsspWorkspace& ws,
-                                 const Deadline& deadline, vid target) {
-  require_vertex(g, source, "hop_limited_sssp");
-  if (target != kNoVertex) require_vertex(g, target, "hop_limited_sssp");
+namespace detail {
+
+std::uint64_t bellman_ford(const Graph& g, vid source, SsspWorkspace& ws,
+                           std::uint64_t& relaxations, weight_t dist_limit, vid target,
+                           const std::function<bool(std::uint64_t)>& more) {
   ws.begin_run_(g.num_vertices());
   BellmanFordRefs r{ws.dist_,          ws.touched_,       ws.frontier_,
                     ws.improved_,      ws.frontier_dist_, ws.newly_local_,
                     ws.touched_local_, ws.offset_,        ws.relaxer(),
                     ws.counts(),       ws.scratch_allocs_};
   r.dist[source].store(0, std::memory_order_relaxed);
-  detail::push_counted(r.touched, source, r.allocs);
+  push_counted(r.touched, source, r.allocs);
   r.frontier.clear();
-  detail::push_counted(r.frontier, source, r.allocs);
-  HopLimitedStats stats;
-  // The deadline is polled on the driver thread between rounds only — a
-  // round is the unit of cancellation, so a partial run is always "the
-  // first k rounds in full" and the settled distances are exact dist^k.
-  const bool check_deadline = !deadline.never_expires();
+  push_counted(r.frontier, source, r.allocs);
+  std::uint64_t rounds = 0;
   Team::drive([&](Team& team) {
-    for (std::uint64_t round = 0; round < h; ++round) {
-      if (r.frontier.empty()) break;  // nothing more can ever improve
-      if (check_deadline && deadline.expired()) {
-        stats.deadline_hit = true;
-        break;
-      }
-      relax_round(g, r, team, &stats.relaxations, dist_limit, target);
-      ++stats.rounds;
+    while (!r.frontier.empty() && more(rounds)) {
+      relax_round(g, r, team, &relaxations, dist_limit, target);
+      ++rounds;
     }
   });
   r.frontier.clear();
@@ -188,7 +148,28 @@ HopLimitedStats hop_limited_sssp(const Graph& g, vid source, std::uint64_t h,
   // other drivers sharing these scratch vectors) see the same per-buffer
   // capacities every time — the warm-reuse guarantee is byte-identical
   // behavior, not just amortized growth.
-  if (stats.rounds % 2 != 0) std::swap(r.frontier, r.improved);
+  if (rounds % 2 != 0) std::swap(r.frontier, r.improved);
+  return rounds;
+}
+
+}  // namespace detail
+
+HopLimitedStats hop_limited_sssp(const Graph& g, vid source, std::uint64_t h,
+                                 weight_t dist_limit, SsspWorkspace& ws,
+                                 const Deadline& deadline, vid target) {
+  require_vertex(g, source, "hop_limited_sssp");
+  if (target != kNoVertex) require_vertex(g, target, "hop_limited_sssp");
+  HopLimitedStats stats;
+  // The deadline is polled on the driver thread between rounds only — a
+  // round is the unit of cancellation, so a partial run is always "the
+  // first k rounds in full" and the settled distances are exact dist^k.
+  const bool check_deadline = !deadline.never_expires();
+  stats.rounds = detail::bellman_ford(
+      g, source, ws, stats.relaxations, dist_limit, target, [&](std::uint64_t done) {
+        if (done >= h) return false;
+        stats.deadline_hit = check_deadline && deadline.expired();
+        return !stats.deadline_hit;
+      });
   return stats;
 }
 
@@ -210,32 +191,15 @@ std::uint64_t hops_to_approx(const Graph& g, vid s, vid t, weight_t true_dist,
   require_vertex(g, t, "hops_to_approx");
   if (s == t) return 0;
   SsspWorkspace ws;
-  ws.begin_run_(g.num_vertices());
-  BellmanFordRefs r{ws.dist_,          ws.touched_,       ws.frontier_,
-                    ws.improved_,      ws.frontier_dist_, ws.newly_local_,
-                    ws.touched_local_, ws.offset_,        ws.relaxer(),
-                    ws.counts(),       ws.scratch_allocs_};
-  r.dist[s].store(0, std::memory_order_relaxed);
-  detail::push_counted(r.touched, s, r.allocs);
-  r.frontier.clear();
-  detail::push_counted(r.frontier, s, r.allocs);
   const weight_t goal = (1.0 + eps) * true_dist;
   std::uint64_t relaxations = 0;
-  std::uint64_t rounds = 0;
-  std::uint64_t reached_at = h_cap;
-  Team::drive([&](Team& team) {
-    for (std::uint64_t h = 1; h <= h_cap; ++h) {
-      if (r.frontier.empty()) return;  // dist(t) final without reaching goal
-      relax_round(g, r, team, &relaxations, kInfWeight, t);
-      ++rounds;
-      if (ws.dist_of(t) <= goal) {
-        reached_at = h;
-        return;
-      }
-    }
-  });
-  if (rounds % 2 != 0) std::swap(r.frontier, r.improved);  // see above
-  return reached_at;
+  // Stop after the first round that brings dist(t) within the goal; a run
+  // that ends short of it (h_cap rounds, or dist(t) final) reports h_cap.
+  const std::uint64_t rounds = detail::bellman_ford(
+      g, s, ws, relaxations, kInfWeight, t, [&](std::uint64_t done) {
+        return done < h_cap && (done == 0 || ws.dist_of(t) > goal);
+      });
+  return rounds > 0 && ws.dist_of(t) <= goal ? rounds : h_cap;
 }
 
 }  // namespace parsh

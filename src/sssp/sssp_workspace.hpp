@@ -35,6 +35,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <vector>
 
@@ -46,10 +47,19 @@
 namespace parsh {
 
 struct WeightedBfsResult;
-struct HopLimitedStats;
 struct StSweepStats;
+class SsspWorkspace;
 
 namespace detail {
+
+/// One hop-limited Bellman-Ford run from `source` on `ws` (hop_limited.cpp,
+/// behind hop_limited_sssp and hops_to_approx): seeds the source, runs
+/// barrier-separated rounds inside one drive while the frontier is
+/// nonempty and `more(rounds_done)` allows, adding the edges relaxed to
+/// `relaxations`. Returns the rounds run.
+std::uint64_t bellman_ford(const Graph& g, vid source, SsspWorkspace& ws,
+                           std::uint64_t& relaxations, weight_t dist_limit, vid target,
+                           const std::function<bool(std::uint64_t)>& more);
 
 /// push_back that records capacity growth in the workspace's allocation
 /// counter (relaxed atomic: growth can happen inside parallel regions).
@@ -107,11 +117,9 @@ class SsspWorkspace : public RoundScheduler {
  private:
   friend WeightedBfsResult weighted_bfs(const Graph&, vid, weight_t,
                                         SsspWorkspace&);
-  friend HopLimitedStats hop_limited_sssp(const Graph&, vid, std::uint64_t,
-                                          weight_t, SsspWorkspace&,
-                                          const Deadline&, vid);
-  friend std::uint64_t hops_to_approx(const Graph&, vid, vid, weight_t, double,
-                                      std::uint64_t);
+  friend std::uint64_t detail::bellman_ford(const Graph&, vid, SsspWorkspace&,
+                                            std::uint64_t&, weight_t, vid,
+                                            const std::function<bool(std::uint64_t)>&);
   friend StSweepStats st_sweep(const Graph&, vid, vid, weight_t, SsspWorkspace&,
                                const Deadline&);
 

@@ -121,10 +121,8 @@ TEST_P(DirectionOptimizing, HysteresisEntersHighExitsLow) {
   // round whose total clears the hysteresis band but not the floor still
   // runs push (the Theta(n) candidate sweep could not pay for itself).
   FrontierRelaxer relaxer;
-  // Organic direction (overriding a PARSH_FORCE_PULL env default), and no
-  // sequential fast path.
-  relaxer.set_policy({.rounds = RoundPolicy::Rounds::kAllParallel,
-                      .direction = RoundPolicy::Direction::kAuto});
+  // Organic direction (overriding a PARSH_FORCE_PULL env default).
+  relaxer.set_policy({.direction = RoundPolicy::Direction::kAuto});
   relaxer.set_pull_divisors(10, 100);  // m=1000: enter at 100, exit below 10
   relaxer.begin_run();
   InlineTeam team;
@@ -137,7 +135,6 @@ TEST_P(DirectionOptimizing, HysteresisEntersHighExitsLow) {
     return relaxer.relax(
         team, frontier, n, m,
         [&](std::size_t) { return static_cast<std::size_t>(degree); },
-        [&](std::size_t, std::size_t, std::size_t) {},
         [&](std::size_t, std::size_t, std::size_t) {},
         [&](vid) -> std::size_t { return 0; });
   };

@@ -20,6 +20,7 @@
 #include "spanner/spanner.hpp"
 #include "graph/delta.hpp"
 #include "sssp/approx_query.hpp"
+#include "sssp/dijkstra.hpp"
 #include "sssp/dynamic_approx.hpp"
 #include "sssp/hop_limited.hpp"
 #include "sssp/weighted_bfs.hpp"
@@ -159,13 +160,12 @@ TEST_P(DriverDeterminism, ApproxQueryAll) {
 }
 
 // --- round scheduling: every driver's drain loop runs inside one
-// --- persistent team with an adaptive sequential round fast path. Output
-// --- must be bit-identical across (a) one thread vs a real 4-wide team
-// --- (at_threads sets the pool width, so the stages race even on hosts with
-// --- fewer processors), (b) adaptive sequential rounds vs every round
-// --- through the team stages (RoundPolicy::Rounds::kAllParallel), and
-// --- (c) every combination. The baseline is the default policy at one
-// --- thread.
+// --- persistent team, and a round of at most kInlineRoundItems items runs
+// --- the same body on the driver alone. Output must be bit-identical
+// --- across one thread vs a real 4-wide team (at_threads sets the pool
+// --- width, so the stages race even on hosts with fewer processors),
+// --- across flat/compressed storage, and equal to the sequential oracles
+// --- (est_cluster_reference, Dijkstra) where those apply.
 
 void expect_same_clustering(const Clustering& a, const Clustering& b) {
   EXPECT_EQ(a.cluster_of, b.cluster_of);
@@ -176,13 +176,11 @@ void expect_same_clustering(const Clustering& a, const Clustering& b) {
   EXPECT_EQ(a.rounds, b.rounds);
 }
 
-const RoundPolicy kAllParallel{.rounds = RoundPolicy::Rounds::kAllParallel};
-
 class TeamRounds : public ::testing::TestWithParam<std::uint64_t> {
  protected:
-  // Big enough that mid-run frontiers exceed the adaptive threshold
-  // (kSequentialRoundEdges = 2048 edges) while head/tail rounds stay
-  // below it — the straddling case both mechanisms must agree on.
+  // Big enough that mid-run frontiers exceed the inline cut
+  // (kInlineRoundItems = 2048 items) while head/tail rounds stay below
+  // it — the straddling case both schedules must agree on.
   [[nodiscard]] Graph straddling() const {
     return ensure_connected(make_random_graph(6000, 36000, GetParam()));
   }
@@ -213,25 +211,31 @@ TEST_P(TeamRounds, EstClusterWideTeamVsOneThread) {
   EXPECT_EQ(team_ws.team_rounds(), one_ws.team_rounds());
 }
 
-TEST_P(TeamRounds, EstClusterSequentialVsParallelRounds) {
-  const Graph g = straddling_weighted();
-  const Clustering baseline =
-      at_threads(1, [&] { return est_cluster(g, 0.5, GetParam()); });
+TEST_P(TeamRounds, EstClusterMatchesOracleAcrossWidthsAndStorage) {
+  const Graph flat = straddling_weighted();
+  const Graph compressed = flat.compress_adjacency();
+  const Clustering oracle = est_cluster_reference(flat, 0.5, GetParam());
   for (int width : {1, 4}) {
-    EstClusterWorkspace forced;
-    forced.set_round_policy(kAllParallel);
-    const Clustering out =
-        at_threads(width, [&] { return est_cluster(g, 0.5, GetParam(), forced); });
-    EXPECT_EQ(forced.sequential_rounds(), 0u);
-    EXPECT_GT(forced.team_rounds(), 0u);
-    expect_same_clustering(out, baseline);
+    for (const Graph* g : {&flat, &compressed}) {
+      EstClusterWorkspace ws;
+      const Clustering out =
+          at_threads(width, [&] { return est_cluster(*g, 0.5, GetParam(), ws); });
+      EXPECT_GT(ws.sequential_rounds(), 0u);
+      EXPECT_GT(ws.team_rounds(), 0u);
+      // parent is not compared: the oracle's priority queue breaks
+      // equal-key parent ties differently (see test_est_cluster).
+      EXPECT_EQ(out.cluster_of, oracle.cluster_of) << "@" << width;
+      EXPECT_EQ(out.center, oracle.center) << "@" << width;
+      EXPECT_EQ(out.dist_to_center, oracle.dist_to_center) << "@" << width;
+    }
   }
 }
 
-TEST_P(TeamRounds, HopLimitedUnitWeightsAcrossAllSchedulingModes) {
-  // An unbounded sweep on the unit-weight straddling graph: distances,
-  // round and relaxation counters and the round classes identical on the
-  // team (nested-sequential hook armed) and under the all-parallel policy.
+TEST_P(TeamRounds, HopLimitedUnitWeightsAcrossWidthsMatchesDijkstra) {
+  // An unbounded sweep (h = n) on the unit-weight straddling graph:
+  // distances equal Dijkstra's, and distances, round and relaxation
+  // counters and the round classes are identical on the team
+  // (nested-sequential hook armed).
   const Graph g = straddling();
   const vid n = g.num_vertices();
   auto sweep = [&](SsspWorkspace& ws) {
@@ -242,6 +246,7 @@ TEST_P(TeamRounds, HopLimitedUnitWeightsAcrossAllSchedulingModes) {
   };
   SsspWorkspace one_ws;
   const auto baseline = at_threads(1, [&] { return sweep(one_ws); });
+  EXPECT_EQ(std::get<0>(baseline), dijkstra(g, 0).dist);
   EXPECT_GT(one_ws.sequential_rounds(), 0u);
   EXPECT_GT(one_ws.team_rounds(), 0u);
   SsspWorkspace ws;
@@ -250,36 +255,32 @@ TEST_P(TeamRounds, HopLimitedUnitWeightsAcrossAllSchedulingModes) {
   assert_on_nested_sequential(false);
   EXPECT_EQ(ws.sequential_rounds(), one_ws.sequential_rounds());
   EXPECT_EQ(ws.team_rounds(), one_ws.team_rounds());
-  for (int width : {1, 4}) {
-    SsspWorkspace par_ws;
-    par_ws.set_round_policy(kAllParallel);
-    EXPECT_EQ(at_threads(width, [&] { return sweep(par_ws); }), baseline);
-    EXPECT_EQ(par_ws.sequential_rounds(), 0u);
-  }
 }
 
-TEST_P(TeamRounds, HopLimitedAcrossAllSchedulingModes) {
+TEST_P(TeamRounds, HopLimitedAcrossWidthsAndStorage) {
   // Barrier-separated Bellman-Ford rounds (exact dist^h): distances,
-  // round and relaxation counters identical across every scheduling mode
-  // and team width.
-  const Graph g = straddling_weighted();
+  // round and relaxation counters identical across team widths and
+  // flat/compressed storage.
+  const Graph flat = straddling_weighted();
+  const Graph compressed = flat.compress_adjacency();
   SsspWorkspace one_ws;
   const auto baseline =
-      at_threads(1, [&] { return hop_limited_sssp(g, 0, 24, kInfWeight, one_ws); });
+      at_threads(1, [&] { return hop_limited_sssp(flat, 0, 24, kInfWeight, one_ws); });
   const auto baseline_dist = [&] {
-    std::vector<weight_t> d(g.num_vertices());
-    for (vid v = 0; v < g.num_vertices(); ++v) d[v] = one_ws.dist_of(v);
+    std::vector<weight_t> d(flat.num_vertices());
+    for (vid v = 0; v < flat.num_vertices(); ++v) d[v] = one_ws.dist_of(v);
     return d;
   }();
   for (int width : {1, 4}) {
-    for (const RoundPolicy& policy : {RoundPolicy{}, kAllParallel}) {
+    for (const Graph* g : {&flat, &compressed}) {
       SsspWorkspace ws;
-      ws.set_round_policy(policy);
       const auto stats = at_threads(
-          width, [&] { return hop_limited_sssp(g, 0, 24, kInfWeight, ws); });
+          width, [&] { return hop_limited_sssp(*g, 0, 24, kInfWeight, ws); });
       EXPECT_EQ(stats.rounds, baseline.rounds);
       EXPECT_EQ(stats.relaxations, baseline.relaxations);
-      for (vid v = 0; v < g.num_vertices(); ++v) {
+      EXPECT_EQ(ws.sequential_rounds(), one_ws.sequential_rounds());
+      EXPECT_EQ(ws.team_rounds(), one_ws.team_rounds());
+      for (vid v = 0; v < flat.num_vertices(); ++v) {
         ASSERT_EQ(ws.dist_of(v), baseline_dist[v]) << v;
       }
     }
@@ -289,9 +290,8 @@ TEST_P(TeamRounds, HopLimitedAcrossAllSchedulingModes) {
 // Target-bounded sweeps (the s-t query path): the bound is read at round
 // start and the frontier filter runs after the barrier, so dist(t) and
 // the now-smaller rounds/relaxations counters must still match across
-// team widths, round policies and flat/compressed storage.
-TEST_P(TeamRounds, TargetBoundedSweepAndQueryAcrossWidthsPoliciesAndStorage) {
-  const RoundPolicy kVertexGrain{.rounds = RoundPolicy::Rounds::kVertexGrain};
+// team widths and flat/compressed storage.
+TEST_P(TeamRounds, TargetBoundedSweepAndQueryAcrossWidthsAndStorage) {
   const Graph flat = straddling_weighted();
   const Graph compressed = flat.compress_adjacency();
   const vid t = flat.num_vertices() / 2;
@@ -301,8 +301,7 @@ TEST_P(TeamRounds, TargetBoundedSweepAndQueryAcrossWidthsPoliciesAndStorage) {
   });
   const weight_t baseline_dt = one_ws.dist_of(t);
   ASSERT_NE(baseline_dt, kInfWeight);
-  // The bound cut work, and the cut sweep still straddles the adaptive
-  // threshold.
+  // The bound cut work, and the cut sweep still straddles the inline cut.
   EXPECT_LT(baseline.relaxations, hop_limited_sssp(flat, 0, 24).relaxations);
   EXPECT_GT(one_ws.team_rounds(), 0u);
 
@@ -326,12 +325,11 @@ TEST_P(TeamRounds, TargetBoundedSweepAndQueryAcrossWidthsPoliciesAndStorage) {
   });
   ASSERT_NE(want.estimate, kInfWeight);
 
-  for (const RoundPolicy& policy : {RoundPolicy{}, kAllParallel, kVertexGrain}) {
+  for (int width : {1, 4}) {
     for (const Graph* g : {&flat, &compressed}) {
       SsspWorkspace ws;
-      ws.set_round_policy(policy);
       assert_on_nested_sequential(true);
-      const auto stats = at_threads(4, [&] {
+      const auto stats = at_threads(width, [&] {
         return hop_limited_sssp(*g, 0, 24, kInfWeight, ws, Deadline::never(), t);
       });
       assert_on_nested_sequential(false);
@@ -341,8 +339,7 @@ TEST_P(TeamRounds, TargetBoundedSweepAndQueryAcrossWidthsPoliciesAndStorage) {
     }
     for (const ApproxShortestPaths* e : {&engine, &packed}) {
       SsspWorkspace ws;
-      ws.set_round_policy(policy);
-      const auto got = at_threads(4, [&] { return e->query(qs, qt, ws); });
+      const auto got = at_threads(width, [&] { return e->query(qs, qt, ws); });
       EXPECT_EQ(got.estimate, want.estimate);
       EXPECT_EQ(got.scale_used, want.scale_used);
       EXPECT_EQ(got.rounds, want.rounds);
@@ -353,11 +350,10 @@ TEST_P(TeamRounds, TargetBoundedSweepAndQueryAcrossWidthsPoliciesAndStorage) {
 
 // Dynamic incremental rebuild: an epoch produced by the incremental
 // dirty-scale path must be bit-identical to a forced full rebuild and to
-// itself across team widths, round policies (set on the engine's warm
-// clustering workspace), and graph backings (flat vs compressed). The
+// itself across team widths and graph backings (flat vs compressed). The
 // push/pull seam rides the PARSH_FORCE_PULL CI lane, which runs this
 // whole suite.
-TEST_P(TeamRounds, DynamicRebuildAcrossWidthsAndPolicies) {
+TEST_P(TeamRounds, DynamicRebuildAcrossWidthsAndStorage) {
   const Graph flat = with_uniform_weights(
       ensure_connected(make_random_graph(400, 1400, GetParam())), 1, 9, GetParam() + 17);
   const Graph compressed = flat.compress_adjacency();
@@ -369,27 +365,24 @@ TEST_P(TeamRounds, DynamicRebuildAcrossWidthsAndPolicies) {
   d.insert.push_back({17, 17, 2.0});  // self loop no-op rides along
   d.remove.push_back({0, 1, 1.0});
 
-  auto run = [&](const Graph& g, const RoundPolicy& policy, bool force_full) {
+  auto run = [&](const Graph& g, bool force_full) {
     DynamicApproxShortestPaths dyn(g, p);
-    dyn.cluster_workspace().set_round_policy(policy);
     dyn.set_force_full_rebuild(force_full);
     const auto res = dyn.apply(d);
     EXPECT_EQ(res.hopset.full_rebuild, force_full);
     return dyn.snapshot()->engine.query_all(0);
   };
-  const auto baseline = at_threads(1, [&] { return run(flat, {}, /*full=*/false); });
+  const auto baseline = at_threads(1, [&] { return run(flat, /*full=*/false); });
   const auto check = [&](const ApproxShortestPaths::AllResult& r, const char* what) {
     EXPECT_EQ(r.estimate, baseline.estimate) << what;
     EXPECT_EQ(r.rounds, baseline.rounds) << what;
     EXPECT_EQ(r.relaxations, baseline.relaxations) << what;
   };
-  check(at_threads(4, [&] { return run(flat, {}, false); }), "4-wide organic");
-  check(at_threads(4, [&] { return run(flat, kAllParallel, false); }),
-        "4-wide all-parallel");
-  check(at_threads(4, [&] { return run(flat, {}, true); }), "4-wide forced-full");
-  check(at_threads(1, [&] { return run(compressed, {}, false); }), "1t compressed");
-  check(at_threads(4, [&] { return run(compressed, kAllParallel, true); }),
-        "4-wide compressed all-parallel forced-full");
+  check(at_threads(4, [&] { return run(flat, false); }), "4-wide organic");
+  check(at_threads(4, [&] { return run(flat, true); }), "4-wide forced-full");
+  check(at_threads(1, [&] { return run(compressed, false); }), "1t compressed");
+  check(at_threads(4, [&] { return run(compressed, true); }),
+        "4-wide compressed forced-full");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DriverDeterminism,

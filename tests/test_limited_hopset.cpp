@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "graph/generators.hpp"
 #include "hopset/limited_hopset.hpp"
@@ -78,6 +79,25 @@ TEST(LimitedHopset, DeterministicInSeed) {
   const auto a = build_limited_hopset(g, small_params(21));
   const auto b = build_limited_hopset(g, small_params(21));
   EXPECT_EQ(a.edges, b.edges);
+}
+
+TEST(LimitedHopset, ReturnsEachPairOnce) {
+  // Scales and iterations rediscover the same pairs; the result carries
+  // one edge per unordered pair (u < v, sorted), at the pair's lightest
+  // weight, so augmenting with it is unchanged.
+  for (const auto& [g, seed] : {std::pair(make_path_with_chords(400, 10, 3), 5u),
+                                std::pair(make_path(1000), 11u)}) {
+    const LimitedHopsetResult r = build_limited_hopset(g, small_params(seed));
+    ASSERT_FALSE(r.edges.empty());
+    for (std::size_t i = 0; i < r.edges.size(); ++i) {
+      const Edge& e = r.edges[i];
+      ASSERT_LT(e.u, e.v) << i;
+      if (i > 0) {
+        const Edge& prev = r.edges[i - 1];
+        ASSERT_TRUE(prev.u < e.u || (prev.u == e.u && prev.v < e.v)) << i;
+      }
+    }
+  }
 }
 
 }  // namespace

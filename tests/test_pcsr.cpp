@@ -332,12 +332,6 @@ TEST(PcsrCompressed, EstClusterBitIdenticalAtOneAndFourThreads) {
     const auto [c_flat, c_comp] = at_threads(threads, [&] {
       EstClusterWorkspace wf;
       EstClusterWorkspace wc;
-      // Route every round through the team stages so the parallel relax
-      // rounds run the compressed decode, not just the sequential fast
-      // path.
-      for (EstClusterWorkspace* w : {&wf, &wc}) {
-        w->set_round_policy({.rounds = RoundPolicy::Rounds::kAllParallel});
-      }
       Clustering a = est_cluster(flat, 0.4, 7, wf);
       Clustering b = est_cluster(comp, 0.4, 7, wc);
       EXPECT_EQ(wf.compressed_rounds(), 0u);
@@ -356,8 +350,7 @@ TEST(PcsrCompressed, ForcedPullDecodesCompressedChunks) {
   EstClusterWorkspace wf;
   EstClusterWorkspace wc;
   for (EstClusterWorkspace* w : {&wf, &wc}) {
-    w->set_round_policy({.rounds = RoundPolicy::Rounds::kAllParallel,
-                         .direction = RoundPolicy::Direction::kPull});
+    w->set_round_policy({.direction = RoundPolicy::Direction::kPull});
   }
   const Clustering a = est_cluster(flat, 0.4, 7, wf);
   const Clustering b = est_cluster(comp, 0.4, 7, wc);
@@ -374,10 +367,6 @@ TEST(PcsrCompressed, SsspDriversBitIdenticalAtOneAndFourThreads) {
     at_threads(threads, [&]() -> int {
       SsspWorkspace wf;
       SsspWorkspace wc;
-      for (SsspWorkspace* w : {&wf, &wc}) {
-        w->set_round_policy({.rounds = RoundPolicy::Rounds::kAllParallel});
-      }
-
       const HopLimitedStats h1 =
           hop_limited_sssp(flat, 0, flat.num_vertices(), kInfWeight, wf);
       const HopLimitedStats h2 =

@@ -4,17 +4,16 @@
 // edge work into stolen ranges so hub vertices are relaxed by many
 // workers. Its contract: scheduling never changes WHICH per-edge calls
 // happen, so every driver built on the order-independent CRCW min-reduces
-// is bit-identical across (a) the stolen edge-grain path vs the
-// whole-vertex path (RoundPolicy::Rounds::kVertexGrain), and (b) 1 vs many
-// threads. These tests pin that on the skew inputs the mechanism exists
-// for — star / hub-and-spoke graphs and heavy-tailed RMATs — plus the
-// oracle equivalence and the warm high-water reuse of the relaxer's
+// matches the sequential oracles (est_cluster_reference, Dijkstra) and is
+// bit-identical at 1 vs many threads. These tests pin that on the skew
+// inputs the mechanism exists for — star / hub-and-spoke graphs and
+// heavy-tailed RMATs — plus the warm high-water reuse of the relaxer's
 // prefix scratch.
 //
 // Workspaces asserting edge_grain_rounds() pin a push policy: the skew zoo's
 // dense rounds trip the direction heuristic organically, and a pull round
-// is counted as neither edge- nor vertex-grain. Push-vs-pull equivalence
-// has its own suite (test_direction_optimizing.cpp).
+// is not counted as an edge-grain round. Push-vs-pull equivalence has its
+// own suite (test_direction_optimizing.cpp).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -26,6 +25,7 @@
 #include "cluster/est_cluster.hpp"
 #include "graph/generators.hpp"
 #include "parallel/parallel_for.hpp"
+#include "sssp/dijkstra.hpp"
 #include "sssp/hop_limited.hpp"
 #include "sssp/sssp_workspace.hpp"
 #include "thread_scope.hpp"
@@ -55,50 +55,29 @@ std::vector<std::pair<const char*, Graph>> skewed_graphs(std::uint64_t seed) {
 
 class WorkStealing : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(WorkStealing, EstClusterStolenPathMatchesOracle) {
+TEST_P(WorkStealing, EstClusterStolenPathMatchesOracleAcrossWidths) {
   for (const auto& [name, g] : skewed_graphs(GetParam())) {
     SCOPED_TRACE(name);
-    EstClusterWorkspace ws;
-    ws.set_round_policy({.direction = RoundPolicy::Direction::kPush});
-    const Clustering engine = est_cluster(g, 0.5, GetParam(), ws);
-    // The skew actually exercised the stolen path.
-    EXPECT_GT(ws.edge_grain_rounds(), 0u) << name;
     const Clustering oracle = est_cluster_reference(g, 0.5, GetParam());
-    // parent is not compared: equal-key ties (two equal-length tree paths
-    // from the same center) are broken differently by the oracle's
-    // priority queue, and both parents are valid — validate_clustering
-    // checks the forest instead (same convention as test_est_cluster).
-    EXPECT_EQ(engine.cluster_of, oracle.cluster_of) << name;
-    EXPECT_EQ(engine.center, oracle.center) << name;
-    EXPECT_EQ(engine.dist_to_center, oracle.dist_to_center) << name;
-    EXPECT_TRUE(validate_clustering(g, engine)) << name;
-  }
-}
-
-TEST_P(WorkStealing, EstClusterEdgeGrainVsVertexGrainAcrossThreads) {
-  for (const auto& [name, g] : skewed_graphs(GetParam())) {
-    SCOPED_TRACE(name);
-    // Baseline: the pre-work-stealing whole-vertex scheduling, 1 thread.
-    EstClusterWorkspace vertex_ws;
-    vertex_ws.set_round_policy({.rounds = RoundPolicy::Rounds::kVertexGrain});
-    const Clustering baseline =
-        at_threads(1, [&] { return est_cluster(g, 0.5, GetParam(), vertex_ws); });
-    EXPECT_EQ(vertex_ws.edge_grain_rounds(), 0u);
-    EXPECT_GT(vertex_ws.vertex_grain_rounds(), 0u);
+    std::vector<Clustering> by_width;
     for (int threads : {1, 4}) {
       EstClusterWorkspace ws;
       ws.set_round_policy({.direction = RoundPolicy::Direction::kPush});
-      const Clustering stolen =
+      const Clustering engine =
           at_threads(threads, [&] { return est_cluster(g, 0.5, GetParam(), ws); });
+      // The skew actually exercised the stolen path.
       EXPECT_GT(ws.edge_grain_rounds(), 0u) << name << " @" << threads;
-      expect_same_clustering(stolen, baseline);
-      // And vertex-grain at many threads agrees too.
-      EstClusterWorkspace ws4;
-      ws4.set_round_policy({.rounds = RoundPolicy::Rounds::kVertexGrain});
-      const Clustering vertex4 =
-          at_threads(threads, [&] { return est_cluster(g, 0.5, GetParam(), ws4); });
-      expect_same_clustering(vertex4, baseline);
+      // parent is not compared: equal-key ties (two equal-length tree paths
+      // from the same center) are broken differently by the oracle's
+      // priority queue, and both parents are valid — validate_clustering
+      // checks the forest instead (same convention as test_est_cluster).
+      EXPECT_EQ(engine.cluster_of, oracle.cluster_of) << name;
+      EXPECT_EQ(engine.center, oracle.center) << name;
+      EXPECT_EQ(engine.dist_to_center, oracle.dist_to_center) << name;
+      EXPECT_TRUE(validate_clustering(g, engine)) << name;
+      by_width.push_back(engine);
     }
+    expect_same_clustering(by_width[1], by_width[0]);
   }
 }
 
@@ -106,7 +85,8 @@ TEST_P(WorkStealing, HopLimitedDistancesStolenPathAcrossThreads) {
   // Bellman-Ford distances and the round/relaxation counters are
   // deterministic: each round reads the round-start distances and
   // resolves concurrent improvements by a CAS min, so they must survive
-  // the stolen path and any thread count.
+  // the stolen path and any thread count. With h = n the distances are
+  // exact, so they equal Dijkstra's.
   for (const auto& [name, g] : skewed_graphs(GetParam())) {
     SCOPED_TRACE(name);
     const vid n = g.num_vertices();
@@ -116,9 +96,9 @@ TEST_P(WorkStealing, HopLimitedDistancesStolenPathAcrossThreads) {
       for (vid v = 0; v < n; ++v) dist[v] = ws.dist_of(v);
       return std::tuple(dist, stats.rounds, stats.relaxations);
     };
-    SsspWorkspace vertex_ws;
-    vertex_ws.set_round_policy({.rounds = RoundPolicy::Rounds::kVertexGrain});
-    const auto baseline = at_threads(1, [&] { return sweep(vertex_ws); });
+    SsspWorkspace one_ws;
+    const auto baseline = at_threads(1, [&] { return sweep(one_ws); });
+    EXPECT_EQ(std::get<0>(baseline), dijkstra(g, 0).dist);
     for (int threads : {1, 4}) {
       SsspWorkspace ws;
       const auto stolen = at_threads(threads, [&] { return sweep(ws); });
